@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Runs one workload of the repository benchmark and prints its result.
 
-    python3 cpdbench/run.py --workload train|train_dist|ingest|serve \
+    python3 cpdbench/run.py --workload train|train_dist|ingest \
         --seed N --seconds S --trace 0|1 [--size full|smoke]
 
-The workloads of BENCHMARK.json are train, train_dist and ingest; serve
-runs the same way but is not in BENCHMARK.json (see README.md).
+--seconds sizes the measured work (EM iterations, update batches) at a
+pinned amount per second; see workloads.json.
 
 Run from the repository root. The first call builds the system and the
 benchmark program from source into .bench_build/ (CMake, Release); later

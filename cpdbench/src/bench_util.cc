@@ -24,18 +24,6 @@ double RunOptions::Param(const std::string& key) const {
   return value->number();
 }
 
-std::vector<double> RunOptions::ParamList(const std::string& key) const {
-  const cpd::Json* value = params.Find(key);
-  if (value == nullptr || !value->is_array()) {
-    std::fprintf(stderr, "workloads.json: %s.%s is missing or not a list\n",
-                 workload.c_str(), key.c_str());
-    std::exit(2);
-  }
-  std::vector<double> out;
-  for (const cpd::Json& item : value->items()) out.push_back(item.number());
-  return out;
-}
-
 uint64_t DeriveSeed(uint64_t seed, uint64_t salt) {
   // splitmix64 finalizer over (seed, salt).
   uint64_t z = seed * 0x9E3779B97F4A7C15ULL + salt + 0x632BE59BD9B4E019ULL;
@@ -73,19 +61,19 @@ std::string FieldString(const cpd::Json& object, const char* key) {
   return value != nullptr && value->is_string() ? value->string_value() : "";
 }
 
+}  // namespace
+
 double FieldNumber(const cpd::Json& object, const char* key) {
   const cpd::Json* value = object.Find(key);
   return value != nullptr && value->is_number() ? value->number() : 0.0;
 }
 
 std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
-
-}  // namespace
 
 double PeakRssMb(pid_t pid) {
   const std::string status =

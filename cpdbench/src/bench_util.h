@@ -32,7 +32,6 @@ struct RunOptions {
   cpd::Json params;      ///< The workload's pinned sizes, rates and limits.
 
   double Param(const std::string& key) const;
-  std::vector<double> ParamList(const std::string& key) const;
 };
 
 /// Derives an independent stream seed for one fixture from the run seed.
@@ -56,6 +55,11 @@ double Median(std::vector<double> values);
 /// The highest of 0.999 / 0.99 / 0.95 / 0.9 / 0.75 / 0.5 that leaves at
 /// least ten samples beyond it (0.5 when there are fewer than 20 samples).
 double TailQuantile(size_t count);
+
+/// A numeric member of a JSON object; 0 when absent or not a number.
+double FieldNumber(const cpd::Json& object, const char* key);
+/// The bytes of a file; empty when unreadable.
+std::string ReadWholeFile(const std::string& path);
 
 /// Peak resident set (VmHWM) of a process, in MB; 0 when unreadable.
 double PeakRssMb(pid_t pid);

@@ -2,14 +2,19 @@
 // pre-generated, seed-derived chain of SampleUpdateBatch batches to
 // POST /admin/ingest and, after each, polls a membership read for a user
 // only that batch created; freshness is the time from sending the batch
-// until that read succeeds. Reads arrive meanwhile at the `light` rate.
+// until that read succeeds. Reads arrive at the `light` rate from the
+// writer's first batch until its last batch is readable, so every batch,
+// and only those, runs beside them.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "core/cpd_model.h"
@@ -67,11 +72,6 @@ Chain BuildChain(const cpd::SocialGraph& base, const RunOptions& options,
     current = std::make_unique<cpd::SocialGraph>(std::move(applied->graph));
   }
   return chain;
-}
-
-double FieldNumber(const cpd::Json& json, const char* key) {
-  const cpd::Json* value = json.Find(key);
-  return value != nullptr && value->is_number() ? value->number() : 0.0;
 }
 
 /// Posts batches [first, end); one record per batch sent.
@@ -134,22 +134,40 @@ struct IngestPhase {
   std::vector<WriteRecord> writes;
 };
 
-/// A fixed number of batches beside reads that arrive for a fixed time.
+/// A fixed number of batches beside reads. Both start together and the
+/// reads stop once the writer has seen its last batch readable.
 IngestPhase RunIngestPhase(const std::string& label, int port, pid_t pid,
                            const Chain& chain, size_t first_batch,
                            size_t batches, uint64_t base_generation,
                            const std::vector<Request>& requests,
                            const PhaseSpec& read_spec, SpanLog* spans) {
   IngestPhase phase;
-  std::thread writer([&] {
-    phase.writes = RunWriter(port, chain, first_batch, first_batch + batches,
-                             base_generation, spans);
-  });
+  std::atomic<bool> writer_done{false};
   PhaseSpec spec = read_spec;
   spec.label = label;
+  spec.start_us = NowUs() + 20000;
+  spec.stop = &writer_done;
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(spec.start_us - NowUs()));
+    phase.writes = RunWriter(port, chain, first_batch, first_batch + batches,
+                             base_generation, spans);
+    writer_done.store(true, std::memory_order_release);
+  });
   phase.reads = RunPhase(spec, requests, port, pid, spans);
   writer.join();
   return phase;
+}
+
+/// The read checks of one phase beside writes.
+void CheckReads(const IngestPhase& phase, double lag_limit_ms, Result* result) {
+  ReportPhase(phase.reads);
+  result->AddAttempted(phase.reads.attempted);
+  result->AddFailed(phase.reads.failed);
+  CheckGenerator(phase.reads, lag_limit_ms, result);
+  result->Check(phase.reads.failed == 0, "reads failed beside the writes");
+  result->Check(phase.reads.stopped,
+                "reads in phase " + phase.reads.label +
+                    " ran out before the writer finished");
 }
 
 std::vector<double> FreshMs(const std::vector<WriteRecord>& writes) {
@@ -225,49 +243,39 @@ void CheckWrites(const std::vector<WriteRecord>& writes, Result* result) {
   result->Check(!writes.empty(), "no ingest batch completed");
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
-
-void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
-                       const GraphFixture& fixture,
-                       const std::string& model_path,
-                       const std::string& run_dir,
-                       const std::vector<Request>& requests,
-                       const cpd::serve::ProfileIndex& index,
-                       double index_load_ms, int connections, Result* result) {
-  const size_t batches = static_cast<size_t>(options.Param("batches"));
+/// The measured part of the workload, on a running copy of the fixture
+/// artifact at `model_path`.
+void MeasureIngest(const RunOptions& options, const cpd::SocialGraph& graph,
+                   const GraphFixture& fixture, const std::string& model_path,
+                   const std::string& run_dir,
+                   const std::vector<Request>& requests,
+                   const cpd::serve::ProfileIndex& index,
+                   double index_load_ms, int connections, Result* result) {
+  // --seconds sizes the untraced phase: a fixed number of batches per
+  // second asked for, whatever the code under test makes of them.
+  const size_t batches = static_cast<size_t>(std::max(
+      1.0, std::round(options.seconds * options.Param("batches_per_second"))));
   const size_t traced_batches =
       options.trace ? static_cast<size_t>(options.Param("traced_batches")) : 0;
   const Chain chain = BuildChain(graph, options, batches + traced_batches);
-  ServerSpec spec{options.bin_dir + "/cpd_serve", model_path, fixture,
-                  run_dir + "/cpd_serve.log", true};
+  const ServerSpec spec{options.bin_dir + "/cpd_serve", model_path, fixture,
+                        run_dir + "/cpd_serve.log"};
   const int setups =
       options.trace ? 1 : static_cast<int>(options.Param("setup_repeats"));
   std::vector<double> setup_s;
-  ServerHandle server;
-  for (int r = 0; r < setups; ++r) {
-    if (server.process.pid() > 0) server.process.Stop(30.0);
-    auto started = StartServer(spec);
-    result->AddAttempted(1);
-    if (!started.ok()) {
-      result->AddFailed(1);
-      result->Fail(started.status().ToString());
-      return;
-    }
-    server = std::move(*started);
-    setup_s.push_back(server.startup_s);
+  auto started = StartServerRepeatedly(spec, setups, &setup_s);
+  result->AddAttempted(setups);
+  if (!started.ok()) {
+    result->AddFailed(1);
+    result->Fail(started.status().ToString());
+    return;
   }
+  ServerHandle server = std::move(*started);
   const double light = options.Param("light_rps");
   const double lag_limit_ms = options.Param("lag_limit_ms");
-  const double phase_s = options.seconds * options.Param("phase_share");
-  PhaseSpec read_spec{"", light, phase_s, connections, 0,
-                      DeriveSeed(options.seed, 200), 25};
+  // The writer ends each read phase; this only bounds it.
+  PhaseSpec read_spec{"", light, options.Param("read_limit_seconds"),
+                      connections, 0, DeriveSeed(options.seed, 200), 25};
   RunPhase(PhaseSpec{"warmup", light, 0.5, connections, 0,
                      DeriveSeed(options.seed, 199), 0},
            requests, server.port, server.process.pid(), nullptr);
@@ -296,11 +304,7 @@ void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
   const IngestPhase plain =
       RunIngestPhase("light+writes", server.port, server.process.pid(), chain,
                      0, batches, generation0, requests, read_spec, nullptr);
-  ReportPhase(plain.reads);
-  result->AddAttempted(plain.reads.attempted);
-  result->AddFailed(plain.reads.failed);
-  CheckGenerator(plain.reads, lag_limit_ms, result);
-  result->Check(plain.reads.failed == 0, "reads failed beside the writes");
+  CheckReads(plain, lag_limit_ms, result);
   CheckWrites(plain.writes, result);
   const std::vector<double> fresh = FreshMs(plain.writes);
   const double tail_q = TailQuantile(fresh.size());
@@ -318,17 +322,11 @@ void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
     spans.NameRow(kRowWriter, "writer: POST /admin/ingest + visibility read");
     read_spec.stream_offset = 500000;
     read_spec.seed = DeriveSeed(options.seed, 201);
-    read_spec.seconds = phase_s * static_cast<double>(traced_batches) /
-                        static_cast<double>(batches);
     traced = RunIngestPhase("light+writes-traced", server.port,
                             server.process.pid(), chain, plain.writes.size(),
                             traced_batches, generation0 + plain.writes.size(),
                             requests, read_spec, &spans);
-    ReportPhase(traced.reads);
-    result->AddAttempted(traced.reads.attempted);
-    result->AddFailed(traced.reads.failed);
-    CheckGenerator(traced.reads, lag_limit_ms, result);
-    result->Check(traced.reads.failed == 0, "reads failed beside the writes");
+    CheckReads(traced, lag_limit_ms, result);
     CheckWrites(traced.writes, result);
     all_writes.insert(all_writes.end(), traced.writes.begin(), traced.writes.end());
     all_samples.insert(all_samples.end(), traced.reads.samples.begin(),
@@ -436,8 +434,8 @@ void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
     delta_b.push_back(static_cast<double>(ingested->delta_bytes));
     artifact_b.push_back(static_cast<double>(ingested->artifact_bytes));
     swap_ms.push_back(static_cast<double>(s1 - s0) * 1e-3);
-    if (ReadFileBytes(ingested->artifact_path) !=
-        ReadFileBytes(model_path + ".g" + std::to_string(b + 1) + ".cpdb")) {
+    if (ReadWholeFile(ingested->artifact_path) !=
+        ReadWholeFile(model_path + ".g" + std::to_string(b + 1) + ".cpdb")) {
       ++artifact_mismatches;
     }
   }
@@ -475,6 +473,58 @@ void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
   result->Set("trace.coverage", total > 0 ? covered / total : 0.0, "ratio");
   result->Set("trace.overhead", fresh_p50_traced / Median(fresh) - 1.0, "ratio");
   WriteTrace(spans, options, result);
+}
+
+}  // namespace
+
+void RunIngest(const RunOptions& options, Result* result) {
+  const GraphFixture fixture = WorkloadGraph(options);
+  auto graph = LoadGraph(fixture);
+  if (!graph.ok()) {
+    result->Fail("graph load: " + graph.status().ToString());
+    return;
+  }
+  // The server writes ingest artifacts next to its model, so each run
+  // serves a private copy of the fixture artifact.
+  const std::string fixture_model =
+      ModelPathFor(fixture, ServeModelConfig(options));
+  const std::string run_dir =
+      (fs::path(options.work_dir) /
+       ("run-" + options.workload + "-" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(run_dir);
+  fs::create_directories(run_dir);
+  const std::string model_path = run_dir + "/model.cpdb";
+  std::error_code copy_error;
+  fs::copy_file(fixture_model, model_path, copy_error);
+  if (copy_error) {
+    result->Fail("model fixture missing: " + fixture_model);
+    return;
+  }
+  const int connections =
+      std::min(static_cast<int>(options.Param("connections")), CpuCount());
+
+  // The in-process reference for the output checks (and the index-load
+  // layer metric): the artifact through ProfileIndex's default options.
+  const int64_t load_start = NowUs();
+  auto index = cpd::serve::ProfileIndex::LoadFromFile(model_path);
+  const double index_load_ms = static_cast<double>(NowUs() - load_start) * 1e-3;
+  if (!index.ok()) {
+    result->Fail("index load: " + index.status().ToString());
+    return;
+  }
+  const std::vector<Request> requests = BuildRequests(
+      *graph, *index, static_cast<size_t>(options.Param("stream_requests")),
+      DeriveSeed(options.seed, 4));
+  std::printf("%s: %zu users, %zu documents, %zu requests in the stream, "
+              "%d connections\n",
+              options.workload.c_str(), graph->num_users(),
+              graph->num_documents(), requests.size(), connections);
+
+  MeasureIngest(options, *graph, fixture, model_path, run_dir, requests,
+                *index, index_load_ms, connections, result);
+  std::error_code ignored;
+  fs::remove_all(run_dir, ignored);
 }
 
 }  // namespace cpdbench

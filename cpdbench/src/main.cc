@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
   cpdbench::Result result;
   if (options.workload == "train" || options.workload == "train_dist") {
     cpdbench::RunTrain(options, options.workload == "train_dist", &result);
-  } else if (options.workload == "serve" || options.workload == "ingest") {
-    cpdbench::RunServe(options, options.workload == "ingest", &result);
+  } else if (options.workload == "ingest") {
+    cpdbench::RunIngest(options, &result);
   } else {
     std::fprintf(stderr, "unknown workload %s\n", options.workload.c_str());
     return 2;

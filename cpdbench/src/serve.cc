@@ -1,15 +1,11 @@
-// Workloads `serve` and `ingest`: the built cpd_serve binary as a child
-// process, driven over loopback by an open-loop generator.
-//
-// serve:  reads at the `light` rate, at the `busy` rate, then a fixed rate
-//         ladder that finds the highest rate meeting the p99 limit.
-// ingest: the same server started with --emit_delta 1; one closed-loop
-//         writer posts a pre-generated chain of update batches to
-//         /admin/ingest while reads arrive at the `light` rate.
+// The read path of the `ingest` workload: the built cpd_serve binary as a
+// child process, the seeded request stream, the open-loop generator that
+// drives it over loopback, /metricsz scraping, and the serving-layer
+// measurements of a traced run.
 //
 // The server gets operator flags only: the artifact, the training-graph
 // TSV files (diffusion queries and ingest need them), a port, --log_level
-// warning, and --emit_delta 1 for ingest. Everything else is its default.
+// warning and --emit_delta 1. Everything else is its default.
 
 #include "serve_internal.h"
 
@@ -52,7 +48,7 @@ cpd::Status PrepareWorkload(const RunOptions& options) {
   GraphFixture fixture = WorkloadGraph(options);
   CPD_RETURN_IF_ERROR(PrepareGraph(&fixture, options.Param("scale"),
                                    DeriveSeed(options.seed, 1)));
-  if (options.workload == "serve" || options.workload == "ingest") {
+  if (options.workload == "ingest") {
     CPD_RETURN_IF_ERROR(PrepareModel(fixture, ServeModelConfig(options)));
   }
   return cpd::Status::OK();
@@ -192,7 +188,7 @@ PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
   stats.label = spec.label;
   // Poisson arrivals at `rate`, due times fixed before the first send.
   cpd::Rng rng(spec.seed);
-  const int64_t start_us = NowUs() + 20000;
+  const int64_t start_us = spec.start_us > 0 ? spec.start_us : NowUs() + 20000;
   std::vector<int64_t> due;
   double t = 0.0;
   while (true) {
@@ -200,8 +196,8 @@ PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
     if (t >= spec.seconds) break;
     due.push_back(start_us + static_cast<int64_t>(t * 1e6));
   }
-  const size_t n = due.size();
-  stats.attempted = static_cast<int64_t>(n);
+  size_t n = due.size();
+  int64_t end_due_us = start_us + static_cast<int64_t>(spec.seconds * 1e6);
 
   // One thread drives the whole pool through epoll; a timerfd wakes it at
   // the next due time. Each connection carries one request at a time.
@@ -246,9 +242,18 @@ PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
   size_t finished = 0;
   int64_t last_done = start_us;
   epoll_event events[64];
-  const int64_t give_up_us = (n > 0 ? due.back() : start_us) + 30000000;
+  int64_t give_up_us = (n > 0 ? due.back() : start_us) + 30000000;
   while (finished < n) {
     int64_t now = NowUs();
+    if (spec.stop != nullptr && !stats.stopped &&
+        spec.stop->load(std::memory_order_acquire)) {
+      // Requests not yet sent are never due; those in flight still count.
+      stats.stopped = true;
+      n = next;
+      end_due_us = now;
+      give_up_us = std::min(give_up_us, now + 30000000);
+      continue;
+    }
     if (now > give_up_us) {
       // The server stopped answering: whatever is still owed has failed.
       stats.failed += static_cast<int64_t>(n - finished);
@@ -363,6 +368,7 @@ PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
   ::close(epoll_fd);
 
   const int64_t end_us = NowUs();
+  stats.attempted = static_cast<int64_t>(n);
   stats.wall_s = static_cast<double>(end_us - start_us) * 1e-6;
   stats.gen_cpu_s = SelfCpuSeconds() - cpu0;
   stats.server_cpu_s = ProcessCpuSeconds(server_pid) - server_cpu0;
@@ -370,39 +376,9 @@ PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
   const double span_s = static_cast<double>(last_done - start_us) * 1e-6;
   stats.achieved_rps =
       span_s > 0 ? static_cast<double>(stats.completed) / span_s : 0.0;
-  stats.offered_rps = static_cast<double>(n) / spec.seconds;
+  stats.offered_rps = static_cast<double>(n) /
+                      std::max(1e-6, static_cast<double>(end_due_us - start_us) * 1e-6);
   return stats;
-}
-
-double MedianOverWindows(const std::vector<PhaseStats>& windows, double q) {
-  std::vector<double> quantiles;
-  for (const PhaseStats& window : windows) {
-    if (!window.latency_us.empty()) quantiles.push_back(Percentile(window.latency_us, q));
-  }
-  return Median(quantiles);
-}
-
-PhaseStats MergePhases(const std::vector<PhaseStats>& windows) {
-  PhaseStats merged;
-  for (const PhaseStats& w : windows) {
-    merged.label = w.label;
-    merged.latency_us.insert(merged.latency_us.end(), w.latency_us.begin(), w.latency_us.end());
-    merged.lag_us.insert(merged.lag_us.end(), w.lag_us.begin(), w.lag_us.end());
-    merged.samples.insert(merged.samples.end(), w.samples.begin(), w.samples.end());
-    merged.attempted += w.attempted;
-    merged.completed += w.completed;
-    merged.failed += w.failed;
-    merged.wall_s += w.wall_s;
-    merged.gen_cpu_s += w.gen_cpu_s;
-    merged.server_cpu_s += w.server_cpu_s;
-    merged.offered_rps += w.offered_rps * w.wall_s;
-    merged.achieved_rps += w.achieved_rps * w.wall_s;
-  }
-  if (merged.wall_s > 0) {
-    merged.offered_rps /= merged.wall_s;
-    merged.achieved_rps /= merged.wall_s;
-  }
-  return merged;
 }
 
 // ------------------------------------------------------------------ scrape
@@ -486,11 +462,8 @@ cpd::StatusOr<ServerHandle> StartServer(const ServerSpec& spec) {
       "--users",       std::to_string(spec.graph.num_users),
       "--docs",        spec.graph.docs,
       "--friends",     spec.graph.friends,
-      "--diffusion",   spec.graph.diffusion};
-  if (spec.emit_delta) {
-    argv.push_back("--emit_delta");
-    argv.push_back("1");
-  }
+      "--diffusion",   spec.graph.diffusion,
+      "--emit_delta",  "1"};
   const int64_t start = NowUs();
   auto child = ChildProcess::Spawn(argv, spec.log_path);
   if (!child.ok()) return child.status();
@@ -513,6 +486,19 @@ cpd::StatusOr<ServerHandle> StartServer(const ServerSpec& spec) {
   }
   handle.startup_s = static_cast<double>(NowUs() - start) * 1e-6;
   return handle;
+}
+
+cpd::StatusOr<ServerHandle> StartServerRepeatedly(
+    const ServerSpec& spec, int repeats, std::vector<double>* startup_s) {
+  ServerHandle server;
+  for (int r = 0; r < repeats; ++r) {
+    if (server.process.pid() > 0) server.process.Stop(30.0);
+    auto started = StartServer(spec);
+    if (!started.ok()) return started.status();
+    server = std::move(*started);
+    startup_s->push_back(server.startup_s);
+  }
+  return server;
 }
 
 // -------------------------------------------------------------- the runs
@@ -564,203 +550,10 @@ void CheckGenerator(const PhaseStats& phase, double lag_limit_ms,
                     std::to_string(lag_p99_ms) + " ms; the run is invalid");
 }
 
-void RunServe(const RunOptions& options, bool with_writes, Result* result) {
-  const GraphFixture fixture = WorkloadGraph(options);
-  auto graph = LoadGraph(fixture);
-  if (!graph.ok()) {
-    result->Fail("graph load: " + graph.status().ToString());
-    return;
-  }
-  // The server writes ingest artifacts next to its model, so each run
-  // serves a private copy of the fixture artifact.
-  const std::string fixture_model =
-      ModelPathFor(fixture, ServeModelConfig(options));
-  const std::string run_dir =
-      (fs::path(options.work_dir) /
-       ("run-" + options.workload + "-" + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(run_dir);
-  fs::create_directories(run_dir);
-  const std::string model_path = run_dir + "/model.cpdb";
-  std::error_code copy_error;
-  fs::copy_file(fixture_model, model_path, copy_error);
-  if (copy_error) {
-    result->Fail("model fixture missing: " + fixture_model);
-    return;
-  }
-  const int connections =
-      std::min(static_cast<int>(options.Param("connections")), CpuCount());
-
-  // The in-process reference for the output checks (and the index-load
-  // layer metric): the artifact through ProfileIndex's default options.
-  const int64_t load_start = NowUs();
-  auto index = cpd::serve::ProfileIndex::LoadFromFile(model_path);
-  const double index_load_ms = static_cast<double>(NowUs() - load_start) * 1e-3;
-  if (!index.ok()) {
-    result->Fail("index load: " + index.status().ToString());
-    return;
-  }
-  const std::vector<Request> requests = BuildRequests(
-      *graph, *index, static_cast<size_t>(options.Param("stream_requests")),
-      DeriveSeed(options.seed, 4));
-  std::printf("%s: %zu users, %zu documents, %zu requests in the stream, "
-              "%d connections\n",
-              options.workload.c_str(), graph->num_users(),
-              graph->num_documents(), requests.size(), connections);
-
-  if (with_writes) {
-    RunIngestWorkload(options, *graph, fixture, model_path, run_dir, requests,
-                      *index, index_load_ms, connections, result);
-  } else {
-    RunReadWorkload(options, fixture, model_path, run_dir, *graph, requests,
-                    *index, index_load_ms, connections, result);
-  }
-  std::error_code ignored;
-  fs::remove_all(run_dir, ignored);
-}
-
-void RunReadWorkload(const RunOptions& options, const GraphFixture& fixture,
-                     const std::string& model_path, const std::string& run_dir,
-                     const cpd::SocialGraph& graph,
-                     const std::vector<Request>& requests,
-                     const cpd::serve::ProfileIndex& index,
-                     double index_load_ms, int connections, Result* result) {
-  ServerSpec spec{options.bin_dir + "/cpd_serve", model_path, fixture,
-                  run_dir + "/cpd_serve.log", false};
-  const int setups = options.trace ? 1 : static_cast<int>(options.Param("setup_repeats"));
-  std::vector<double> setup_s;
-  ServerHandle server;
-  for (int r = 0; r < setups; ++r) {
-    if (server.process.pid() > 0) server.process.Stop(30.0);
-    auto started = StartServer(spec);
-    result->AddAttempted(1);
-    if (!started.ok()) {
-      result->AddFailed(1);
-      result->Fail(started.status().ToString());
-      return;
-    }
-    server = std::move(*started);
-    setup_s.push_back(server.startup_s);
-  }
-  const cpd::serve::QueryEngine engine(index, &graph);
-  const double lag_limit_ms = options.Param("lag_limit_ms");
-  const double p99_limit_us = options.Param("p99_limit_ms") * 1e3;
-  const double light = options.Param("light_rps");
-  const double busy = options.Param("busy_rps");
-  const double phase_s = options.seconds * options.Param("phase_share");
-  const std::vector<double> ladder = options.ParamList("ladder_rps");
-  const double rung_s = options.seconds * options.Param("rung_share");
-  const int windows = static_cast<int>(options.Param("windows"));
-  uint64_t offset = 0;
-  const auto phase_spec = [&](const std::string& label, double rate,
-                              double seconds) {
-    PhaseSpec p{label, rate, seconds, connections, offset,
-                DeriveSeed(options.seed, 100 + offset), 50};
-    offset += static_cast<uint64_t>(rate * seconds * 1.5) + 1;
-    return p;
-  };
-
-  // Warm-up at the busy rate: the first second of sustained load after
-  // start-up ran far slower than the rest in every measurement, and users
-  // of a long-running server never see it.
-  RunPhase(phase_spec("warmup", busy, options.Param("warmup_seconds")),
-           requests, server.port, server.process.pid(), nullptr);
-
-  const auto measure = [&](const std::string& label, double rate,
-                           double seconds) {
-    PhaseStats phase = RunPhase(phase_spec(label, rate, seconds), requests,
-                                server.port, server.process.pid(), nullptr);
-    result->AddAttempted(phase.attempted);
-    result->AddFailed(phase.failed);
-    CheckSamples(phase.samples, requests, engine, result);
-    return phase;
-  };
-
-  // Light and busy windows alternate through the run, so a slow spell of
-  // the host lands in a few windows of both rather than in one phase.
-  std::vector<PhaseStats> light_windows;
-  std::vector<PhaseStats> busy_windows;
-  for (int w = 0; w < windows; ++w) {
-    light_windows.push_back(measure("light", light, phase_s / windows));
-    busy_windows.push_back(measure("busy", busy, phase_s / windows));
-  }
-  const PhaseStats light_phase = MergePhases(light_windows);
-  const PhaseStats busy_phase = MergePhases(busy_windows);
-  ReportPhase(light_phase);
-  ReportPhase(busy_phase);
-  std::printf("window medians: light p50 %.1f p90 %.1f us, busy p50 %.1f p90 %.1f us\n",
-              MedianOverWindows(light_windows, 0.5), MedianOverWindows(light_windows, 0.9),
-              MedianOverWindows(busy_windows, 0.5), MedianOverWindows(busy_windows, 0.9));
-  CheckGenerator(light_phase, lag_limit_ms, result);
-  CheckGenerator(busy_phase, lag_limit_ms, result);
-  result->Check(light_phase.failed == 0 && busy_phase.failed == 0,
-                "reads failed at the light or busy rate");
-
-  // Gated: unloaded service latency (median over windows of the light
-  // phase) and CPU efficiency at the busy rate. Busy-rate latency and the
-  // rate ladder are printed but not gated: on a small shared VM they swing
-  // with the host's load far more than any bound could absorb.
-  const double served_per_cpu_s =
-      static_cast<double>(busy_phase.completed) /
-      std::max(1e-9, busy_phase.server_cpu_s);
-  result->Set("setup_s", Median(setup_s), "s");
-  result->Set("throughput_per_s", served_per_cpu_s, "1/s");
-  result->Set("latency_p50_ms", MedianOverWindows(light_windows, 0.5) * 1e-3, "ms");
-  result->Set("latency_tail_ms", MedianOverWindows(light_windows, 0.9) * 1e-3, "ms");
-  result->Set("peak_rss_mb", PeakRssMb(server.process.pid()), "MB");
-  result->Set("e2e.read_p50_us.light", Percentile(light_phase.latency_us, 0.5), "us");
-  result->Set("e2e.read_p99_us.light", Percentile(light_phase.latency_us, 0.99), "us");
-  result->Set("e2e.read_p50_us.busy", Percentile(busy_phase.latency_us, 0.5), "us");
-  result->Set("e2e.read_p99_us.busy", Percentile(busy_phase.latency_us, 0.99), "us");
-  result->Set("e2e.setup_s", Median(setup_s), "s");
-  result->Set("e2e.peak_rss_mb", PeakRssMb(server.process.pid()), "MB");
-
-  if (!options.trace) {
-    // Rate ladder: the highest rate whose p99 meets the limit with every
-    // request answered and no growing backlog (achieved >= 95% of offered).
-    double max_rps = 0.0;
-    int failed_rungs = 0;
-    for (const double rate : ladder) {
-      const PhaseStats rung = measure("ladder", rate, rung_s);
-      ReportPhase(rung);
-      CheckGenerator(rung, lag_limit_ms, result);
-      const bool pass = rung.failed == 0 &&
-                        Percentile(rung.latency_us, 0.99) <= p99_limit_us &&
-                        rung.achieved_rps >= 0.95 * rung.offered_rps;
-      if (pass) {
-        max_rps = rung.achieved_rps;
-      } else if (++failed_rungs == 2) {
-        break;  // Two rungs past the limit: the server is saturated.
-      }
-    }
-    result->Set("e2e.read_max_rps", max_rps, "1/s");
-    const int code = server.process.Stop(30.0);
-    result->Check(code == 0, "cpd_serve did not exit cleanly on SIGTERM");
-    return;
-  }
-
-  // Traced run: the serving layers, then coverage and overhead of the
-  // light rate against the untraced windows above.
-  SpanLog spans;
-  const ServingLayers layers =
-      MeasureServingLayers(options, server, requests, engine, phase_s,
-                           index_load_ms, &spans, result);
-  result->Set("trace.coverage", layers.light_coverage, "ratio");
-  result->Set("trace.overhead",
-              layers.light_p50_us / Percentile(light_phase.latency_us, 0.5) - 1.0,
-              "ratio");
-  const int code = server.process.Stop(30.0);
-  result->Check(code == 0, "cpd_serve did not exit cleanly on SIGTERM");
-  WriteTrace(spans, options, result);
-}
-
-ServingLayers MeasureServingLayers(const RunOptions& options,
-                                   const ServerHandle& server,
-                                   const std::vector<Request>& requests,
-                                   const cpd::serve::QueryEngine& engine,
-                                   double seconds, double index_load_ms,
-                                   SpanLog* spans, Result* result) {
-  ServingLayers out;
+void MeasureServingLayers(const RunOptions& options, const ServerHandle& server,
+                          const std::vector<Request>& requests,
+                          const cpd::serve::QueryEngine& engine, double seconds,
+                          double index_load_ms, SpanLog* spans, Result* result) {
   const int connections =
       std::min(static_cast<int>(options.Param("connections")), CpuCount());
   spans->NameRow(kRowBench, "bench: in-process calls");
@@ -770,7 +563,7 @@ ServingLayers MeasureServingLayers(const RunOptions& options,
   auto probe = HttpConnection::Connect(server.port);
   if (!probe.ok()) {
     result->Fail("cannot connect to cpd_serve");
-    return out;
+    return;
   }
   std::vector<double> health_us;
   for (int i = 0; i < 300; ++i) {
@@ -831,10 +624,9 @@ ServingLayers MeasureServingLayers(const RunOptions& options,
   }
   double client_us = 0.0;
   for (const double l : light.latency_us) client_us += l;
-  out.light_coverage = client_us > 0 ? covered_us / client_us : 0.0;
-  out.light_p50_us = Percentile(light.latency_us, 0.5);
+  result->Set("trace.read_coverage", client_us > 0 ? covered_us / client_us : 0.0,
+              "ratio");
   ReplayServingLayers(requests, engine, index_load_ms, spans, result);
-  return out;
 }
 
 void ReplayServingLayers(const std::vector<Request>& requests,

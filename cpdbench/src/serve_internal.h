@@ -1,10 +1,11 @@
 #ifndef CPDBENCH_SERVE_INTERNAL_H_
 #define CPDBENCH_SERVE_INTERNAL_H_
 
-// Pieces shared by the `serve` and `ingest` workloads: the seeded request
-// stream, the open-loop generator, /metricsz scraping and the cpd_serve
-// child process.
+// The read path of the `ingest` workload: the seeded request stream, the
+// open-loop generator, /metricsz scraping, the cpd_serve child process and
+// the serving-layer measurements.
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,11 +49,15 @@ struct ReadSample {
 struct PhaseSpec {
   std::string label;
   double rate = 0.0;     ///< Requests per second (Poisson arrivals).
-  double seconds = 0.0;  ///< Span of due times.
+  double seconds = 0.0;  ///< Span of due times (an upper bound with `stop`).
   int connections = 1;   ///< Connection pool; a request waits for a free one.
   uint64_t stream_offset = 0;
   uint64_t seed = 0;
   size_t sample_every = 0;  ///< Keep every n-th body for checks (0 = none).
+  int64_t start_us = 0;     ///< First possible due time (0 = 20 ms from now).
+  /// When set, no request is sent once it reads true; requests in flight
+  /// still complete.
+  const std::atomic<bool>* stop = nullptr;
 };
 
 struct PhaseStats {
@@ -70,6 +75,7 @@ struct PhaseStats {
   double wall_s = 0.0;
   double gen_cpu_s = 0.0;
   double server_cpu_s = 0.0;
+  bool stopped = false;  ///< Ended by PhaseSpec::stop, not by `seconds`.
 };
 
 /// Open loop: due times are drawn before the first send; each request goes
@@ -77,13 +83,6 @@ struct PhaseStats {
 /// an X-Request-Id and record client spans.
 PhaseStats RunPhase(const PhaseSpec& spec, const std::vector<Request>& requests,
                     int port, pid_t server_pid, SpanLog* spans);
-
-/// The median over windows (short phases) of each window's q-quantile
-/// latency, in us. A host stall inflates the windows it falls in, not the
-/// median.
-double MedianOverWindows(const std::vector<PhaseStats>& windows, double q);
-/// Concatenates the windows' samples and sums their counts and CPU.
-PhaseStats MergePhases(const std::vector<PhaseStats>& windows);
 
 /// The histograms of one /metricsz scrape: cumulative bucket counts and
 /// sums, keyed by series (name and labels without `le`).
@@ -105,7 +104,6 @@ struct ServerSpec {
   std::string model;
   GraphFixture graph;
   std::string log_path;
-  bool emit_delta = false;
 };
 
 struct ServerHandle {
@@ -114,38 +112,23 @@ struct ServerHandle {
   double startup_s = 0.0;  ///< Spawn until the first /healthz 200.
 };
 
+/// Starts cpd_serve with operator flags only (--log_level warning and
+/// --emit_delta 1 besides the artifact, graph and port).
 cpd::StatusOr<ServerHandle> StartServer(const ServerSpec& spec);
-
-void RunReadWorkload(const RunOptions& options, const GraphFixture& fixture,
-                     const std::string& model_path, const std::string& run_dir,
-                     const cpd::SocialGraph& graph,
-                     const std::vector<Request>& requests,
-                     const cpd::serve::ProfileIndex& index,
-                     double index_load_ms, int connections, Result* result);
-
-void RunIngestWorkload(const RunOptions& options, const cpd::SocialGraph& graph,
-                       const GraphFixture& fixture,
-                       const std::string& model_path,
-                       const std::string& run_dir,
-                       const std::vector<Request>& requests,
-                       const cpd::serve::ProfileIndex& index,
-                       double index_load_ms, int connections, Result* result);
+/// Starts the server `repeats` times, stopping each before the next, and
+/// returns the last; every start-up time is appended to `startup_s`.
+cpd::StatusOr<ServerHandle> StartServerRepeatedly(
+    const ServerSpec& spec, int repeats, std::vector<double>* startup_s);
 
 /// The serving layers, measured on a running server that still serves the
 /// generation `engine` answers for: light and busy traced phases with
 /// /metricsz stage histograms around them, a /healthz probe, the server's
 /// CPU per request, and the in-process replays below. Sets the server.*,
-/// serve.* and gen.* per-layer metrics.
-struct ServingLayers {
-  double light_coverage = 0.0;  ///< (lag + server stage sums) / latency.
-  double light_p50_us = 0.0;
-};
-ServingLayers MeasureServingLayers(const RunOptions& options,
-                                   const ServerHandle& server,
-                                   const std::vector<Request>& requests,
-                                   const cpd::serve::QueryEngine& engine,
-                                   double seconds, double index_load_ms,
-                                   SpanLog* spans, Result* result);
+/// serve.* and gen.* per-layer metrics and trace.read_coverage.
+void MeasureServingLayers(const RunOptions& options, const ServerHandle& server,
+                          const std::vector<Request>& requests,
+                          const cpd::serve::QueryEngine& engine, double seconds,
+                          double index_load_ms, SpanLog* spans, Result* result);
 
 /// Replays the request stream through the serving layers in-process
 /// (JSON decode, QueryEngine::Query, JSON encode) for their latencies.

@@ -3,19 +3,20 @@
 //
 // Set-up (timed `setup_repeats` times, median reported) is trainer
 // construction + Initialize() + one warm-up EM iteration, which includes
-// the shard plan, executor build and, for train_dist, worker spawn. Then a
-// fixed number of EM iterations (EStep + MStep) is timed one by one. The
-// chain is deterministic for a seed and shard count, so train and
-// train_dist must end with bit-identical perplexity and link
-// log-likelihood; whichever runs second for a seed checks it.
+// the shard plan, executor build and, for train_dist, worker spawn. Then
+// EM iterations (EStep + MStep), as many as --seconds asks for, are timed
+// one by one. The chain is deterministic for a seed and shard count, so
+// train_dist must end with the perplexity and link log-likelihood, bit for
+// bit, of the same chain on the pooled executor, which it replays after
+// measuring.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <numeric>
 
@@ -174,156 +175,43 @@ ChainOutcome RunChain(const cpd::SocialGraph& graph, cpd::CpdConfig config,
   return out;
 }
 
-/// The chain-result cache shared by train and train_dist: both runs of
-/// one seed must agree bit for bit.
-std::string ChainKeyPath(const RunOptions& options,
-                         const cpd::CpdConfig& config, int iterations) {
-  char name[160];
-  std::snprintf(name, sizeof(name),
-                "chain-%s-c%d-z%d-s%d-it%d-%016llx.txt",
-                fs::path(WorkloadGraph(options).dir).filename().c_str(),
-                config.num_communities, config.num_topics,
-                config.ResolvedNumShards(), iterations,
-                static_cast<unsigned long long>(config.seed));
-  return (fs::path(options.work_dir) / "results" / name).string();
-}
-
-bool ReadChain(const std::string& path, uint64_t* ll_bits, uint64_t* ppl_bits) {
-  std::ifstream in(path);
-  return static_cast<bool>(in >> std::hex >> *ll_bits >> *ppl_bits);
-}
-
-void WriteChain(const std::string& path, const ChainOutcome& outcome) {
-  fs::create_directories(fs::path(path).parent_path());
-  std::ofstream out(path);
-  out << std::hex << std::bit_cast<uint64_t>(outcome.link_ll) << " "
-      << std::bit_cast<uint64_t>(outcome.perplexity) << "\n";
-}
-
 /// Serial = pooled = distributed: the chain's end state depends only on the
-/// seed and the shard count. Compares against the cached chain of the same
-/// key; train_dist without one replays the chain on the pooled executor.
-void CheckChain(const RunOptions& options, const cpd::CpdConfig& config,
-                int iterations, const ChainOutcome& outcome, bool distributed,
-                const cpd::SocialGraph& graph, Result* result) {
-  const std::string path = ChainKeyPath(options, config, iterations);
-  uint64_t ll_bits = 0;
-  uint64_t ppl_bits = 0;
-  if (!ReadChain(path, &ll_bits, &ppl_bits)) {
-    if (!distributed) {
-      WriteChain(path, outcome);
-      return;
-    }
-    cpd::CpdConfig local = config;
-    local.executor_mode = cpd::ExecutorMode::kAuto;
-    local.dist_workers = 0;
-    std::printf("computing the pooled reference chain\n");
-    const ChainOutcome reference = RunChain(graph, local, 1, iterations,
-                                            nullptr, nullptr, nullptr,
-                                            nullptr, nullptr);
-    if (!reference.ok) {
-      result->Fail("reference chain: " + reference.error);
-      return;
-    }
-    WriteChain(path, reference);
-    ll_bits = std::bit_cast<uint64_t>(reference.link_ll);
-    ppl_bits = std::bit_cast<uint64_t>(reference.perplexity);
-  }
-  result->Check(std::bit_cast<uint64_t>(outcome.link_ll) == ll_bits,
-                "link log-likelihood differs from the chain of the same seed "
-                "and shard count on another executor");
-  result->Check(std::bit_cast<uint64_t>(outcome.perplexity) == ppl_bits,
-                "perplexity differs from the chain of the same seed and "
-                "shard count on another executor");
-}
-
-}  // namespace
-
-GraphFixture WorkloadGraph(const RunOptions& options) {
-  return GraphFixtureFor(options.work_dir, options.Param("scale"),
-                         DeriveSeed(options.seed, 1));
-}
-
-cpd::CpdConfig TrainConfig(const RunOptions& options) {
-  cpd::CpdConfig config;
-  config.num_communities = static_cast<int>(options.Param("communities"));
-  config.num_topics = static_cast<int>(options.Param("topics"));
-  config.num_threads = static_cast<int>(options.Param("threads"));
-  config.num_shards = static_cast<int>(options.Param("shards"));
-  config.seed = DeriveSeed(options.seed, 2);
-  if (options.workload == "train_dist") {
-    config.executor_mode = cpd::ExecutorMode::kDistributed;
-    config.dist_workers = static_cast<int>(options.Param("workers"));
-  }
-  return config;
-}
-
-void RunTrain(const RunOptions& options, bool distributed, Result* result) {
-  const GraphFixture fixture = WorkloadGraph(options);
-  auto loaded = LoadGraph(fixture);
-  if (!loaded.ok()) {
-    result->Fail("graph load: " + loaded.status().ToString());
+/// seed and the shard count. train_dist replays its chain in-process on the
+/// pooled executor, after the measured runs, and must match it bit for bit.
+void CheckAgainstPooledChain(const cpd::SocialGraph& graph,
+                             const cpd::CpdConfig& config, int iterations,
+                             const ChainOutcome& outcome, Result* result) {
+  cpd::CpdConfig local = config;
+  local.executor_mode = cpd::ExecutorMode::kAuto;
+  local.dist_workers = 0;
+  const ChainOutcome reference = RunChain(graph, local, 1, iterations, nullptr,
+                                          nullptr, nullptr, nullptr, nullptr);
+  if (!reference.ok) {
+    result->Fail("pooled reference chain: " + reference.error);
     return;
   }
-  const cpd::SocialGraph& graph = *loaded;
-  const cpd::CpdConfig config = TrainConfig(options);
-  const int iterations = static_cast<int>(options.Param("measured_iterations"));
-  const int setups = static_cast<int>(options.Param("setup_repeats"));
+  result->Check(std::bit_cast<uint64_t>(outcome.link_ll) ==
+                    std::bit_cast<uint64_t>(reference.link_ll),
+                "link log-likelihood differs from the pooled chain of the same "
+                "seed and shard count");
+  result->Check(std::bit_cast<uint64_t>(outcome.perplexity) ==
+                    std::bit_cast<uint64_t>(reference.perplexity),
+                "perplexity differs from the pooled chain of the same seed and "
+                "shard count");
+}
+
+/// The traced run's chain: same seed, so the same work as `plain`; spans
+/// around every public call plus the trainer's own per-sweep phase spans.
+/// Sets the per-layer metrics and writes the trace.
+void MeasureTracedChain(const RunOptions& options, const cpd::SocialGraph& graph,
+                        const cpd::CpdConfig& config, int iterations,
+                        const ChainOutcome& plain, Result* result) {
   const double sweeps = static_cast<double>(config.gibbs_sweeps_per_em) *
                         iterations;
-  std::printf("%s: %zu users, %zu documents, %lld tokens, |C|=%d |Z|=%d, "
-              "%d shards, %s executor%s, %d measured EM iterations\n",
-              options.workload.c_str(), graph.num_users(),
-              graph.num_documents(),
-              static_cast<long long>(graph.corpus().total_tokens()),
-              config.num_communities, config.num_topics,
-              config.ResolvedNumShards(), distributed ? "distributed" : "pooled",
-              distributed ? (" over " + std::to_string(config.dist_workers) +
-                             " workers").c_str()
-                          : "",
-              iterations);
-
-  // Untraced chain: the end-to-end metrics (or, in a traced run, the
-  // reference the tracing overhead is measured against).
-  const ChainOutcome plain =
-      RunChain(graph, config, options.trace ? 1 : setups, iterations, nullptr,
-               nullptr, nullptr, nullptr, nullptr);
-  result->AddAttempted(iterations + (options.trace ? 1 : setups));
-  if (!plain.ok) {
-    result->AddFailed(1);
-    result->Fail(plain.error);
-    return;
-  }
-  result->Check(std::isfinite(plain.link_ll), "link log-likelihood not finite");
-  result->Check(std::isfinite(plain.perplexity) && plain.perplexity > 0,
-                "perplexity not finite");
-  CheckChain(options, config, iterations, plain, distributed, graph, result);
-  std::printf("chain: link log-likelihood %.17g, perplexity %.17g\n",
-              plain.link_ll, plain.perplexity);
-
   const double iter_p50_ms = Median(plain.iteration_s) * 1e3;
-  result->Set("setup_s", Median(plain.setup_s), "s");
-  result->Set("throughput_per_s", plain.tokens_per_s, "1/s");
-  result->Set("latency_p50_ms", iter_p50_ms, "ms");
-  // A training job's user waits for the whole job: set-up plus every
-  // measured iteration.
-  result->Set("latency_tail_ms",
-              (Median(plain.setup_s) +
-               std::accumulate(plain.iteration_s.begin(),
-                               plain.iteration_s.end(), 0.0)) * 1e3,
-              "ms");
-  result->Set("peak_rss_mb", plain.peak_rss_mb, "MB");
-  result->Set("e2e.setup_s", Median(plain.setup_s), "s");
-  result->Set("e2e.peak_rss_mb", plain.peak_rss_mb, "MB");
-  result->Set("e2e.train_tokens_per_s", plain.tokens_per_s, "tok/s");
-  result->Set("e2e.train_perplexity", plain.perplexity, "ratio");
-  result->Set("e2e.train_link_ll", plain.link_ll, "nat");
-  if (!options.trace) return;
-
-  // Traced chain: same seed, so the same work; spans around every public
-  // call plus the trainer's own per-sweep phase spans. trace_out only has
-  // to be non-empty to turn the trainer's recorder on: the file is written
-  // by Train(), which the benchmark does not call (it drives EStep/MStep).
+  // trace_out only has to be non-empty to turn the trainer's recorder on:
+  // the file is written by Train(), which the benchmark does not call (it
+  // drives EStep/MStep).
   cpd::CpdConfig traced_config = config;
   traced_config.trace_out =
       (fs::path(options.work_dir) / "traces" / (options.workload + "-trainer.json"))
@@ -401,6 +289,95 @@ void RunTrain(const RunOptions& options, bool distributed, Result* result) {
   result->Set("trace.overhead",
               Median(traced.iteration_s) * 1e3 / iter_p50_ms - 1.0, "ratio");
   WriteTrace(spans, options, result);
+}
+
+}  // namespace
+
+GraphFixture WorkloadGraph(const RunOptions& options) {
+  return GraphFixtureFor(options.work_dir, options.Param("scale"),
+                         DeriveSeed(options.seed, 1));
+}
+
+cpd::CpdConfig TrainConfig(const RunOptions& options) {
+  cpd::CpdConfig config;
+  config.num_communities = static_cast<int>(options.Param("communities"));
+  config.num_topics = static_cast<int>(options.Param("topics"));
+  config.num_threads = static_cast<int>(options.Param("threads"));
+  config.num_shards = static_cast<int>(options.Param("shards"));
+  config.seed = DeriveSeed(options.seed, 2);
+  if (options.workload == "train_dist") {
+    config.executor_mode = cpd::ExecutorMode::kDistributed;
+    config.dist_workers = static_cast<int>(options.Param("workers"));
+  }
+  return config;
+}
+
+void RunTrain(const RunOptions& options, bool distributed, Result* result) {
+  const GraphFixture fixture = WorkloadGraph(options);
+  auto loaded = LoadGraph(fixture);
+  if (!loaded.ok()) {
+    result->Fail("graph load: " + loaded.status().ToString());
+    return;
+  }
+  const cpd::SocialGraph& graph = *loaded;
+  const cpd::CpdConfig config = TrainConfig(options);
+  // --seconds sizes the measured work: a fixed number of EM iterations per
+  // second asked for, whatever the code under test makes of them.
+  const int iterations = static_cast<int>(std::max(
+      1.0, std::round(options.seconds * options.Param("iterations_per_second"))));
+  const int setups = static_cast<int>(options.Param("setup_repeats"));
+  std::printf("%s: %zu users, %zu documents, %lld tokens, |C|=%d |Z|=%d, "
+              "%d shards, %s executor%s, %d measured EM iterations\n",
+              options.workload.c_str(), graph.num_users(),
+              graph.num_documents(),
+              static_cast<long long>(graph.corpus().total_tokens()),
+              config.num_communities, config.num_topics,
+              config.ResolvedNumShards(), distributed ? "distributed" : "pooled",
+              distributed ? (" over " + std::to_string(config.dist_workers) +
+                             " workers").c_str()
+                          : "",
+              iterations);
+
+  // Untraced chain: the end-to-end metrics (or, in a traced run, the
+  // reference the tracing overhead is measured against).
+  const ChainOutcome plain =
+      RunChain(graph, config, options.trace ? 1 : setups, iterations, nullptr,
+               nullptr, nullptr, nullptr, nullptr);
+  result->AddAttempted(iterations + (options.trace ? 1 : setups));
+  if (!plain.ok) {
+    result->AddFailed(1);
+    result->Fail(plain.error);
+    return;
+  }
+  result->Check(std::isfinite(plain.link_ll), "link log-likelihood not finite");
+  result->Check(std::isfinite(plain.perplexity) && plain.perplexity > 0,
+                "perplexity not finite");
+  std::printf("chain: link log-likelihood %.17g, perplexity %.17g\n",
+              plain.link_ll, plain.perplexity);
+
+  result->Set("setup_s", Median(plain.setup_s), "s");
+  result->Set("throughput_per_s", plain.tokens_per_s, "1/s");
+  result->Set("latency_p50_ms", Median(plain.iteration_s) * 1e3, "ms");
+  // A training job's user waits for the whole job: set-up plus every
+  // measured iteration.
+  result->Set("latency_tail_ms",
+              (Median(plain.setup_s) +
+               std::accumulate(plain.iteration_s.begin(),
+                               plain.iteration_s.end(), 0.0)) * 1e3,
+              "ms");
+  result->Set("peak_rss_mb", plain.peak_rss_mb, "MB");
+  result->Set("e2e.setup_s", Median(plain.setup_s), "s");
+  result->Set("e2e.peak_rss_mb", plain.peak_rss_mb, "MB");
+  result->Set("e2e.train_tokens_per_s", plain.tokens_per_s, "tok/s");
+  result->Set("e2e.train_perplexity", plain.perplexity, "ratio");
+  result->Set("e2e.train_link_ll", plain.link_ll, "nat");
+
+  if (options.trace) {
+    MeasureTracedChain(options, graph, config, iterations, plain, result);
+  }
+  if (distributed) {
+    CheckAgainstPooledChain(graph, config, iterations, plain, result);
+  }
 }
 
 }  // namespace cpdbench

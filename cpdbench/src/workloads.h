@@ -14,7 +14,7 @@ cpd::Status PrepareWorkload(const RunOptions& options);
 /// The measured runs. Each fills `result` with the end-to-end metrics
 /// (untraced) or the per-layer metrics (traced) and the output checks.
 void RunTrain(const RunOptions& options, bool distributed, Result* result);
-void RunServe(const RunOptions& options, bool with_writes, Result* result);
+void RunIngest(const RunOptions& options, Result* result);
 
 /// Shared by prepare and run: the graph fixture and the training config a
 /// workload pins. Configs start from CpdConfig defaults and set only the

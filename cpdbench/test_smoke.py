@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Smoke test of the repository benchmark.
 
-Runs every workload of workloads.json (those of BENCHMARK.json plus
-serve) at its tiny `smoke` size, untraced and traced, through run.py, and
-checks the result line, the output checks and the Perfetto trace. Run from
-the repository root:
+Runs every workload of workloads.json (those of BENCHMARK.json) at its
+tiny `smoke` size, untraced and traced, through run.py, and checks the
+result line, the output checks and the Perfetto trace. Run from the
+repository root:
 
     python3 cpdbench/test_smoke.py
 """
