@@ -119,8 +119,7 @@ double MeasureServing(server::ModelRegistry* registry,
   server::HttpServer http_server(options);
   server::ServiceStats stats;
   stats.set_metrics_enabled(metrics_enabled);
-  server::RegisterCpdRoutes(&http_server, registry, &stats,
-                            /*pipeline=*/nullptr, /*coalescer=*/nullptr);
+  server::RegisterCpdRoutes(&http_server, registry, &stats);
   CPD_CHECK(http_server.Start().ok());
   const int port = http_server.port();
 

@@ -1,23 +1,19 @@
 // Query-serving benchmark -> BENCH_query.json.
 //
-// Measures the read side the way a serving front end sees it, as a matrix
-// of {preset} x {precompute_scoring on/off} runs:
+// Measures the read side the way a serving front end sees it, one run per
+// preset:
 //   - "twitter": a model trained on the Twitter-like preset, mixed workload
 //     (membership / rank / diffusion / top_users) with the graph bound;
 //   - "large": a synthetic K=200, |Z|=32, V=50k artifact at serving-realistic
 //     dimensions (the kernels are what is measured, so the estimates are
 //     random but properly normalized; no graph -> no diffusion share).
-// Per run: per-type p50/p99 latency, sequential-loop throughput, and the
-// same workload through QueryEngine::QueryBatch on a 4-thread pool (the CI
-// acceptance bar: batched >= 2x sequential on a multicore runner; a 1-core
-// container cannot show >1x, so hardware_concurrency is recorded).
-// The off/on rank-p50 ratio on the large preset is emitted as
-// "rank_p50_speedup_large" (acceptance: >= 3x from the precomputed
-// link-content matrix + word-major log-phi + heap top-k).
+// Per run: index build time, per-type p50/p99 latency and sequential-loop
+// throughput.
 // A "load_modes" section writes the large preset as a v3 .cpdb and times
 // ProfileIndex::LoadFromFile under load_mode=heap (full decode copy) vs
 // load_mode=mmap (zero-copy map + stored-derived adoption), with RSS
-// deltas, and emits "mmap_reload_speedup" (acceptance: >= 10x).
+// deltas, and emits "mmap_reload_speedup". Both modes include the
+// heap-built scoring tables, which every reload pays.
 //
 // Follows the BENCH_sampler.json conventions: runs argument-free at a
 // laptop-friendly scale, honors CPD_BENCH_JSON_DIR, appends nothing.
@@ -28,12 +24,10 @@
 #include <cstdlib>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/model_artifact.h"
-#include "parallel/thread_pool.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
 #include "util/file_util.h"
@@ -43,11 +37,7 @@
 namespace cpd::bench {
 namespace {
 
-constexpr int kBatchThreads = 4;
-constexpr size_t kTwitterWorkload = 4000;
-// The large preset's naive rank kernel is ~1ms/query; keep the matrix run
-// inside a couple of minutes.
-constexpr size_t kLargeWorkload = 1200;
+constexpr size_t kWorkload = 4000;
 
 struct LatencySummary {
   double p50_us = 0.0;
@@ -115,20 +105,17 @@ std::vector<serve::QueryRequest> BuildWorkload(const SocialGraph* graph,
   return requests;
 }
 
-/// One measured (preset, precompute) cell.
+/// One measured preset.
 struct RunResult {
   const char* preset = "";
-  bool precompute = false;
   double build_seconds = 0.0;
   double single_qps = 0.0;
-  double batch_qps = 0.0;
   LatencySummary overall;
   std::array<LatencySummary, 4> per_kind;
   size_t workload_size = 0;
 };
 
-RunResult MeasureEngine(const char* preset, bool precompute,
-                        const serve::ProfileIndex& index,
+RunResult MeasureEngine(const char* preset, const serve::ProfileIndex& index,
                         const SocialGraph* graph, double build_seconds,
                         std::span<const serve::QueryRequest> workload) {
   const serve::QueryEngine engine(index, graph);
@@ -139,9 +126,8 @@ RunResult MeasureEngine(const char* preset, bool precompute,
   }
 
   // Sequential-throughput pass: one timer around the plain loop, no
-  // per-request instrumentation — this is the number the batched speedup
-  // is judged against, so it must not carry clock/push_back overhead the
-  // batch loop does not pay.
+  // per-request instrumentation, so it carries no clock/push_back
+  // overhead.
   WallTimer single_timer;
   for (const serve::QueryRequest& request : workload) {
     CPD_CHECK(engine.Query(request).ok());
@@ -162,32 +148,19 @@ RunResult MeasureEngine(const char* preset, bool precompute,
     per_kind_us[request.index()].push_back(us);
   }
 
-  // Batched pass at a fixed pool width (the serving fan-out seam).
-  ThreadPool pool(kBatchThreads);
-  engine.QueryBatch(workload.subspan(0, std::min<size_t>(200, workload.size())),
-                    &pool);  // Warm-up.
-  WallTimer batch_timer;
-  const auto responses = engine.QueryBatch(workload, &pool);
-  const double batch_seconds = batch_timer.ElapsedSeconds();
-  for (const auto& response : responses) CPD_CHECK(response.ok());
-
   RunResult result;
   result.preset = preset;
-  result.precompute = precompute;
   result.build_seconds = build_seconds;
   result.workload_size = workload.size();
   result.single_qps = static_cast<double>(workload.size()) / single_seconds;
-  result.batch_qps = static_cast<double>(workload.size()) / batch_seconds;
   result.overall = Summarize(&all_us);
   for (size_t kind = 0; kind < per_kind_us.size(); ++kind) {
     result.per_kind[kind] = Summarize(&per_kind_us[kind]);
   }
   std::printf(
-      "%-8s precompute=%d: single %.0f q/s p50 %.1fus p99 %.1fus | "
-      "rank p50 %.1fus | batched x%d %.0f q/s\n",
-      preset, precompute ? 1 : 0, result.single_qps, result.overall.p50_us,
-      result.overall.p99_us, result.per_kind[1].p50_us, kBatchThreads,
-      result.batch_qps);
+      "%-8s: single %.0f q/s p50 %.1fus p99 %.1fus | rank p50 %.1fus\n",
+      preset, result.single_qps, result.overall.p50_us, result.overall.p99_us,
+      result.per_kind[1].p50_us);
   return result;
 }
 
@@ -235,14 +208,12 @@ struct LoadModeResult {
 };
 
 // Times ProfileIndex::LoadFromFile on the large v3 artifact for one load
-// mode. Scoring-table precompute is disabled: it is identical work in both
-// modes and would drown the decode-vs-map cost being measured.
+// mode, scoring-table build included.
 LoadModeResult MeasureLoadMode(const std::string& artifact_path,
                                serve::ArtifactLoadMode mode) {
   constexpr int kReloadIters = 5;
   serve::ProfileIndexOptions options;
   options.load_mode = mode;
-  options.precompute_scoring = false;
   LoadModeResult result;
   result.mode = serve::ArtifactLoadModeName(mode);
   const long rss_before_kb = CurrentRssKb();
@@ -268,10 +239,9 @@ LoadModeResult MeasureLoadMode(const std::string& artifact_path,
 
 std::string RunJson(const RunResult& run, bool last) {
   std::string json = StrFormat(
-      "    {\"preset\": \"%s\", \"precompute\": %s,\n"
+      "    {\"preset\": \"%s\",\n"
       "     \"index_build_seconds\": %.4f, \"workload_size\": %zu,\n",
-      run.preset, run.precompute ? "true" : "false", run.build_seconds,
-      run.workload_size);
+      run.preset, run.build_seconds, run.workload_size);
   json += "     \"per_type_single_thread\": [\n";
   for (size_t kind = 0; kind < run.per_kind.size(); ++kind) {
     json += StrFormat(
@@ -284,12 +254,8 @@ std::string RunJson(const RunResult& run, bool last) {
   json += "     ],\n";
   json += StrFormat(
       "     \"single_thread\": {\"queries_per_sec\": %.1f, \"p50_us\": %.2f, "
-      "\"p99_us\": %.2f},\n",
-      run.single_qps, run.overall.p50_us, run.overall.p99_us);
-  json += StrFormat(
-      "     \"batched\": {\"threads\": %d, \"queries_per_sec\": %.1f, "
-      "\"speedup_vs_single_thread\": %.3f}}%s\n",
-      kBatchThreads, run.batch_qps, run.batch_qps / run.single_qps,
+      "\"p99_us\": %.2f}}%s\n",
+      run.single_qps, run.overall.p50_us, run.overall.p99_us,
       last ? "" : ",");
   return json;
 }
@@ -311,24 +277,13 @@ void Run() {
   CPD_CHECK(model.ok());
   {
     Rng rng(20260731);
-    std::vector<serve::QueryRequest> workload;
-    for (const bool precompute : {false, true}) {
-      serve::ProfileIndexOptions options;
-      options.precompute_scoring = precompute;
-      WallTimer build_timer;
-      const serve::ProfileIndex index =
-          serve::ProfileIndex::FromModel(*model, options);
-      const double build_seconds = build_timer.ElapsedSeconds();
-      if (workload.empty()) {
-        // Same request stream for both cells (built once, parameters drawn
-        // off the fast=off index — the dimensions are identical).
-        workload = BuildWorkload(&dataset.data.graph, index, kTwitterWorkload,
-                                 &rng);
-      }
-      runs.push_back(MeasureEngine("twitter", precompute, index,
-                                   &dataset.data.graph, build_seconds,
-                                   workload));
-    }
+    WallTimer build_timer;
+    const serve::ProfileIndex index = serve::ProfileIndex::FromModel(*model);
+    const double build_seconds = build_timer.ElapsedSeconds();
+    const std::vector<serve::QueryRequest> workload =
+        BuildWorkload(&dataset.data.graph, index, kWorkload, &rng);
+    runs.push_back(MeasureEngine("twitter", index, &dataset.data.graph,
+                                 build_seconds, workload));
   }
 
   // ----- "large" preset: K=200, |Z|=32, V=50k synthetic artifact -----
@@ -340,22 +295,15 @@ void Run() {
                 static_cast<unsigned long long>(artifact.vocab_size),
                 static_cast<unsigned long long>(artifact.num_users));
     Rng rng(20260808);
-    std::vector<serve::QueryRequest> workload;
-    for (const bool precompute : {false, true}) {
-      serve::ProfileIndexOptions options;
-      options.precompute_scoring = precompute;
-      ModelArtifact copy = artifact;  // FromArtifact consumes the matrices.
-      WallTimer build_timer;
-      auto index = serve::ProfileIndex::FromArtifact(std::move(copy), options);
-      const double build_seconds = build_timer.ElapsedSeconds();
-      CPD_CHECK(index.ok());
-      if (workload.empty()) {
-        workload = BuildWorkload(nullptr, *index, kLargeWorkload, &rng);
-      }
-      runs.push_back(MeasureEngine("large", precompute, *index,
-                                   /*graph=*/nullptr, build_seconds,
-                                   workload));
-    }
+    ModelArtifact copy = artifact;  // FromArtifact consumes the matrices.
+    WallTimer build_timer;
+    auto index = serve::ProfileIndex::FromArtifact(std::move(copy));
+    const double build_seconds = build_timer.ElapsedSeconds();
+    CPD_CHECK(index.ok());
+    const std::vector<serve::QueryRequest> workload =
+        BuildWorkload(nullptr, *index, kWorkload, &rng);
+    runs.push_back(MeasureEngine("large", *index, /*graph=*/nullptr,
+                                 build_seconds, workload));
   }
 
   // ----- load_modes: reload latency + RSS, heap decode vs zero-copy mmap -----
@@ -386,22 +334,6 @@ void Run() {
   std::printf("mmap reload speedup over heap decode: %.1fx\n",
               mmap_reload_speedup);
 
-  // Acceptance headline: naive-over-fast rank p50 on the large preset.
-  double rank_speedup = 0.0;
-  {
-    const RunResult* off = nullptr;
-    const RunResult* on = nullptr;
-    for (const RunResult& run : runs) {
-      if (std::string(run.preset) != "large") continue;
-      (run.precompute ? on : off) = &run;
-    }
-    if (off != nullptr && on != nullptr && on->per_kind[1].p50_us > 0.0) {
-      rank_speedup = off->per_kind[1].p50_us / on->per_kind[1].p50_us;
-    }
-  }
-  std::printf("large-preset rank p50 speedup (precompute off/on): %.1fx\n",
-              rank_speedup);
-
   std::string json = "{\n  \"bench\": \"query_serving\",\n";
   json += StrFormat(
       "  \"dataset\": {\"users\": %zu, \"documents\": %zu, "
@@ -412,9 +344,6 @@ void Run() {
   json += StrFormat(
       "  \"large_preset\": {\"users\": 2000, \"communities\": 200, "
       "\"topics\": 32, \"vocab\": 50000},\n");
-  json += StrFormat("  \"hardware_concurrency\": %u,\n",
-                    std::thread::hardware_concurrency());
-  json += StrFormat("  \"rank_p50_speedup_large\": %.2f,\n", rank_speedup);
   json += StrFormat("  \"mmap_reload_speedup\": %.2f,\n", mmap_reload_speedup);
   json += "  \"load_modes\": [\n";
   for (size_t i = 0; i < load_modes.size(); ++i) {

@@ -3,13 +3,12 @@
 // Trains one model on the Twitter-like preset, saves a v3 ".cpdb" artifact
 // (vocabulary bundled), serves it through the real stack (ModelRegistry +
 // HttpServer + JSON endpoints on loopback), and drives a closed-loop load
-// generator against POST /v1/query over an io_mode x coalescing matrix:
+// generator against POST /v1/query in both io modes:
 //
 //   blocking          1 / 4 / 16 connections (the thread-per-connection
 //                     path; its accept edge caps connections at the worker
 //                     count, so wider sweeps are meaningless here)
 //   epoll             1 / 16 / 256 / 1024 connections
-//   epoll+coalesce    16 / 256 / 1024 connections (micro-batch window on)
 //
 // Levels whose fd appetite (client + server side) would cross the process
 // RLIMIT_NOFILE are skipped with a note rather than failing half-connected.
@@ -20,7 +19,7 @@
 // histogram (scrape delta around the measured pass), plus a
 // single-connection GET /healthz baseline that isolates transport cost
 // (framing + JSON + loopback) from query cost. `--connections N` overrides
-// the sweep with one custom level (e.g. 1024) on the epoll configs.
+// the sweep with one custom level (e.g. 1024) on the epoll config.
 //
 // The JSON records which artifact load mode backs the serving index
 // ("load_mode") and a "reloads" section timing the full ModelRegistry
@@ -51,7 +50,6 @@
 #include "obs/metrics.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
-#include "server/coalescer.h"
 #include "server/http_server.h"
 #include "server/json_api.h"
 #include "server/model_registry.h"
@@ -72,14 +70,12 @@ constexpr size_t kRequestsPerLevel = 3000;
 struct BenchConfig {
   const char* label;
   server::IoMode io_mode;
-  bool coalesce;
   std::vector<int> levels;
 };
 
 struct LevelResult {
   const char* config_label = "";
   server::IoMode io_mode = server::IoMode::kBlocking;
-  bool coalesce = false;
   int connections = 0;
   size_t requests = 0;
   double qps = 0.0;
@@ -323,9 +319,8 @@ void Run(int override_connections) {
       dataset.data.graph, registry.Snapshot()->index, kRequestsPerLevel, &rng);
 
   std::vector<BenchConfig> configs = {
-      {"blocking", server::IoMode::kBlocking, false, {1, 4, 16}},
-      {"epoll", server::IoMode::kEpoll, false, {1, 16, 256, 1024}},
-      {"epoll+coalesce", server::IoMode::kEpoll, true, {16, 256, 1024}},
+      {"blocking", server::IoMode::kBlocking, {1, 4, 16}},
+      {"epoll", server::IoMode::kEpoll, {1, 16, 256, 1024}},
   };
   if (override_connections > 0) {
     for (BenchConfig& bench_config : configs) {
@@ -333,7 +328,7 @@ void Run(int override_connections) {
     }
     if (override_connections > kServerThreads) {
       // The blocking accept edge sheds past the worker count; a wider
-      // custom level only makes sense on the epoll configs.
+      // custom level only makes sense on the epoll config.
       std::printf("skipping blocking config (%d connections > %d workers)\n",
                   override_connections, kServerThreads);
       configs.erase(configs.begin());
@@ -372,19 +367,13 @@ void Run(int override_connections) {
         std::max(2048, override_connections * 2);
     options.max_inflight = 64;
     options.log_requests = false;  // The log would dominate the bench.
-    server::CoalescerOptions coalescer_options;
-    coalescer_options.window_us = bench_config.coalesce ? 200 : 0;
-    coalescer_options.max_batch = 16;
-    server::Coalescer coalescer(coalescer_options);
     server::HttpServer http_server(options);
     server::ServiceStats stats;
-    server::RegisterCpdRoutes(&http_server, &registry, &stats,
-                              /*pipeline=*/nullptr, &coalescer);
+    server::RegisterCpdRoutes(&http_server, &registry, &stats);
     CPD_CHECK(http_server.Start().ok());
     const int port = http_server.port();
 
-    if (bench_config.io_mode == server::IoMode::kBlocking &&
-        !bench_config.coalesce) {
+    if (bench_config.io_mode == server::IoMode::kBlocking) {
       // Transport-only baseline: /healthz round trips on one connection
       // (measured on the blocking path so it stays comparable with the
       // pre-event-loop numbers).
@@ -419,7 +408,6 @@ void Run(int override_connections) {
       const std::vector<uint64_t> scrape_after = ScrapeLatencyBuckets(port);
       result.config_label = bench_config.label;
       result.io_mode = bench_config.io_mode;
-      result.coalesce = bench_config.coalesce;
       const obs::Histogram::Snapshot server_side =
           SnapshotFromScrapeDelta(scrape_before, scrape_after);
       result.server_p50_us = server_side.Percentile(0.50);
@@ -431,18 +419,6 @@ void Run(int override_connections) {
           result.qps, result.p50_us, result.p99_us, result.server_p50_us,
           result.server_p99_us);
       levels.push_back(result);
-    }
-    if (bench_config.coalesce) {
-      const server::CoalescerStats batching = coalescer.stats();
-      std::printf(
-          "   coalescer: %llu requests in %llu batches (%llu coalesced; "
-          "seals: %llu full, %llu timeout, %llu swap)\n",
-          static_cast<unsigned long long>(batching.requests),
-          static_cast<unsigned long long>(batching.batches),
-          static_cast<unsigned long long>(batching.coalesced),
-          static_cast<unsigned long long>(batching.flush_full),
-          static_cast<unsigned long long>(batching.flush_timeout),
-          static_cast<unsigned long long>(batching.flush_mismatch));
     }
     http_server.Stop();
   }
@@ -457,11 +433,6 @@ void Run(int override_connections) {
   json += StrFormat("  \"hardware_concurrency\": %u,\n",
                     std::thread::hardware_concurrency());
   json += StrFormat("  \"server_threads\": %d,\n", kServerThreads);
-  // Whether the served index carried the precomputed scoring tables —
-  // comparing rows across commits needs this pinned next to the numbers.
-  json += StrFormat("  \"precompute_scoring\": %s,\n",
-                    registry.Snapshot()->index.has_scoring_tables() ? "true"
-                                                                    : "false");
   // Which artifact load mode backed the serving index for the whole sweep
   // (kAuto maps v3 artifacts, so this is "mmap" unless the format regresses).
   json += StrFormat("  \"load_mode\": \"%s\",\n",
@@ -480,12 +451,11 @@ void Run(int override_connections) {
   json += "  \"levels\": [\n";
   for (size_t i = 0; i < levels.size(); ++i) {
     json += StrFormat(
-        "    {\"io_mode\": \"%s\", \"coalesce\": %s, \"connections\": %d, "
+        "    {\"io_mode\": \"%s\", \"connections\": %d, "
         "\"requests\": %zu, \"queries_per_sec\": %.1f, \"p50_us\": %.2f, "
         "\"p99_us\": %.2f, \"server_p50_us\": %.2f, "
         "\"server_p99_us\": %.2f}%s\n",
-        server::IoModeName(levels[i].io_mode),
-        levels[i].coalesce ? "true" : "false", levels[i].connections,
+        server::IoModeName(levels[i].io_mode), levels[i].connections,
         levels[i].requests, levels[i].qps, levels[i].p50_us,
         levels[i].p99_us, levels[i].server_p50_us, levels[i].server_p99_us,
         i + 1 < levels.size() ? "," : "");

@@ -1,8 +1,8 @@
 // Serving a trained model: train once, save the binary ".cpdb" artifact,
 // load it back into a ProfileIndex (no trainer state involved), and answer
-// the four §5 query types through the QueryEngine — one at a time and as a
-// thread-pooled batch. This is the read-side path a query front end
-// (tools/cpd_query.cc) or an RPC server builds on.
+// the four §5 query types through the QueryEngine — typed calls and the
+// variant-dispatching Query() over a mixed batch. This is the read-side
+// path a query front end (tools/cpd_query.cc) or an RPC server builds on.
 //
 //   ./build/example_profile_queries
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/cpd_model.h"
-#include "parallel/thread_pool.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
 #include "synth/generator.h"
@@ -104,8 +103,8 @@ int main() {
     }
   }
 
-  // 7. Batched serving: a vector of mixed requests fanned out over a pool.
-  //    Responses are positionally aligned; errors stay per-slot.
+  // 7. Mixed requests through the variant API: Query() dispatches on the
+  //    request's type, and each answer carries its own Status.
   std::vector<serve::QueryRequest> batch;
   for (UserId u = 0; u < 8; ++u) {
     serve::MembershipRequest request;
@@ -113,12 +112,9 @@ int main() {
     batch.push_back(request);
   }
   batch.push_back(rank);
-  ThreadPool pool(4);
-  const auto responses = engine.QueryBatch(batch, &pool);
   size_t ok = 0;
-  for (const auto& response : responses) ok += response.ok() ? 1 : 0;
-  std::printf("\nbatch of %zu mixed queries over 4 threads: %zu ok\n",
-              batch.size(), ok);
+  for (const auto& request : batch) ok += engine.Query(request).ok() ? 1 : 0;
+  std::printf("\nbatch of %zu mixed queries: %zu ok\n", batch.size(), ok);
 
   // 8. Typed errors instead of crashes: out-of-range ids, unbound graph...
   serve::MembershipRequest bad;

@@ -310,13 +310,12 @@ void ProfileIndex::MaterializeTopMemberships(
 }
 
 void ProfileIndex::BuildScoringTables() {
-  if (!options_.precompute_scoring) return;
   const size_t c_count = kc();
   const size_t z_count = kz();
   // Fused eta*theta rows, (c,z)-major: G[c][z][c2] = eta(c,c2,z) *
   // theta_c2[z]. One multiply per cell, so dotting a row with pi_v
-  // reproduces the reference kernel's ((eta*theta)*pi_v) grouping
-  // bit-for-bit.
+  // reproduces the naive kernel's ((eta*theta)*pi_v) grouping bit-for-bit
+  // (tests/reference_scoring.h keeps those kernels as the oracle).
   eta_theta_.assign(c_count * z_count * c_count, 0.0);
   for (size_t c = 0; c < c_count; ++c) {
     for (size_t c2 = 0; c2 < c_count; ++c2) {

@@ -80,23 +80,6 @@ struct ProfileIndexOptions {
   /// full model.
   bool heterogeneous_links = true;
 
-  /// Precompute the query-invariant scoring tables (the serving fast path):
-  ///   - link_content  M[c][z] = sum_c2 eta(c,c2,z) * theta_c2[z], which
-  ///     turns Eq. 19 community ranking from O(|C|^2 |Z|) per request into
-  ///     O(|C| |Z|);
-  ///   - word-major log-phi, so per-query word products gather |q|
-  ///     contiguous rows of length |Z| instead of striding |q| full-vocab
-  ///     rows and calling std::log per (token, topic);
-  ///   - the fused eta*theta tensor G[c][z][c2] = eta(c,c2,z)*theta_c2[z]
-  ///     laid out (c,z)-major, so the Eq. 4 diffusion inner loop is one
-  ///     contiguous dot with pi_v.
-  /// Memory cost: (|C| + |V| + |C|^2) * |Z| doubles on top of the
-  /// estimates (the G tensor is exactly eta-sized). Disable to serve big
-  /// models tight on RAM — the kernels then fall back to the naive
-  /// reference scorers, which answer bit-identically. These tables are
-  /// always heap-built (never stored in the artifact), in both load modes.
-  bool precompute_scoring = true;
-
   /// How LoadModelBundle / LoadFromFile materialize binary artifacts.
   ArtifactLoadMode load_mode = ArtifactLoadMode::kAuto;
 };
@@ -204,20 +187,21 @@ class ProfileIndex {
   /// may fall outside the training range).
   double TopicPopularity(int32_t t, int z) const;
 
-  // ----- precomputed scoring tables (ProfileIndexOptions::precompute_scoring) -----
-  /// False when built with precompute_scoring = false; the QueryEngine then
-  /// scores through the naive reference kernels.
-  bool has_scoring_tables() const { return !link_content_.empty(); }
+  // ----- query-invariant scoring tables -----
+  // Built at index time in every load mode and always heap-owned (never
+  // stored in the artifact). Memory cost: (|C| + |V| + |C|^2) * |Z|
+  // doubles on top of the estimates (the G tensor is exactly eta-sized).
 
   /// M[c][.] = sum_c2 eta(c,c2,.) * theta_c2[.] over topics (the
-  /// query-invariant factor of Eq. 19; same c2 accumulation order as the
-  /// reference kernel, so fast and naive scores agree bitwise).
+  /// query-invariant factor of Eq. 19), which turns community ranking from
+  /// O(|C|^2 |Z|) per request into O(|C| |Z|).
   std::span<const double> LinkContentRow(int c) const {
     return {link_content_.data() + static_cast<size_t>(c) * kz(), kz()};
   }
 
   /// log(max(phi_{.,w}, 1e-300)) over topics — one contiguous word-major
-  /// row per vocabulary word.
+  /// row per vocabulary word, so per-query word products gather |q| rows
+  /// of length |Z| instead of striding full-vocab rows.
   std::span<const double> WordLogPhi(WordId w) const {
     return {word_log_phi_.data() + static_cast<size_t>(w) * kz(), kz()};
   }
@@ -278,7 +262,7 @@ class ProfileIndex {
   /// Points pi_rows_[u] at row u of a flat pi matrix.
   void BuildPiRows(const double* pi);
   /// Builds link_content_ / word_log_phi_ / eta_theta_ from the estimate
-  /// spans (no-op unless options_.precompute_scoring).
+  /// spans.
   void BuildScoringTables();
   /// Rebuilds eta_agg + membership structures on the heap via
   /// core/artifact_derived and adopts them.
@@ -323,8 +307,7 @@ class ProfileIndex {
   std::span<const double> weights_;     // kNumDiffusionWeights
   std::span<const double> popularity_;  // T x Z
 
-  // Query-invariant scoring tables (empty unless precompute_scoring;
-  // always heap-owned).
+  // Query-invariant scoring tables (always heap-owned).
   std::vector<double> link_content_;  // C x Z
   std::vector<double> word_log_phi_;  // W x Z (word-major)
   std::vector<double> eta_theta_;     // C x Z x C ((c,z)-major rows over c2)

@@ -10,15 +10,13 @@
 ///   TopUsersRequest         -> strongest members of a community.
 /// Every call returns StatusOr so malformed requests surface as typed
 /// errors, never crashes; a future RPC/HTTP front end maps these 1:1.
-/// Batches fan out over a caller-owned ThreadPool and return responses in
-/// request order; the engine itself is immutable and thread-safe.
+/// The engine is immutable and thread-safe.
 ///
 /// Diffusion queries additionally need the social graph (documents for the
 /// topic posterior, degree features for the individual factor); bind one at
 /// construction or get FailedPrecondition for DiffusionRequests.
 
 #include <cstdint>
-#include <span>
 #include <variant>
 #include <vector>
 
@@ -26,9 +24,6 @@
 #include "util/status.h"
 
 namespace cpd {
-
-class ThreadPool;
-
 namespace serve {
 
 // ----- requests -----
@@ -91,7 +86,7 @@ struct TopUsersResponse {
   std::vector<double> weights;    ///< pi_{u,c}, parallel to users.
 };
 
-/// One request/response of any type (the batch and front-end currency).
+/// One request/response of any type (the front-end currency).
 using QueryRequest = std::variant<MembershipRequest, RankCommunitiesRequest,
                                   DiffusionRequest, TopUsersRequest>;
 using QueryResponse = std::variant<MembershipResponse, RankCommunitiesResponse,
@@ -115,12 +110,6 @@ class QueryEngine {
 
   /// Dispatches on the request's alternative.
   StatusOr<QueryResponse> Query(const QueryRequest& request) const;
-
-  /// Runs a batch, fanning the requests out over `pool` (nullptr runs them
-  /// inline). Responses are positionally aligned with the requests; each
-  /// slot carries its own Status so one bad request cannot fail the batch.
-  std::vector<StatusOr<QueryResponse>> QueryBatch(
-      std::span<const QueryRequest> requests, ThreadPool* pool = nullptr) const;
 
   // ----- shared scoring kernels (the app adapters call these) -----
   /// p(z | d) ∝ (sum_c pi_{author,c} theta_{c,z}) prod_w phi_{z,w},

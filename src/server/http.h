@@ -33,14 +33,13 @@ namespace cpd::server {
 
 /// Per-request stage durations (microseconds), filled progressively as a
 /// request moves through the transport and the handler. -1 marks a stage
-/// that did not happen (e.g. batch_wait without a coalescer); the slow-
-/// request log prints only the stages that did. Durations measured with
+/// that did not happen (e.g. parse on a route without a query body); the
+/// slow-request log prints only the stages that did. Durations measured with
 /// obs::NowMicros() so a frozen test clock zeroes them deterministically.
 struct RequestTiming {
   double queue_us = -1.0;      ///< Accept/read to dispatch (epoll: pool wait).
   double parse_us = -1.0;      ///< JSON body decode + request validation.
-  double batch_wait_us = -1.0; ///< Time blocked in the coalescing window.
-  double scoring_us = -1.0;    ///< Engine query time (minus batch wait).
+  double scoring_us = -1.0;    ///< Engine query time.
   double serialize_us = -1.0;  ///< Response JSON encode.
 };
 

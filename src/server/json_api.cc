@@ -495,8 +495,7 @@ HttpResponse NoModelResponse(const std::string& name) {
 /// POST /v1/query and /v1/models/{model}/query: one typed request, or
 /// {"batch":[...]}.
 HttpResponse HandleQuery(const HttpRequest& http_request,
-                         ModelRegistry* registry, ServiceStats* stats,
-                         Coalescer* coalescer) {
+                         ModelRegistry* registry, ServiceStats* stats) {
   const std::string name = ModelNameFromRequest(http_request);
   const std::shared_ptr<const ServingModel> model = registry->Snapshot(name);
   if (model == nullptr) return NoModelResponse(name);
@@ -546,15 +545,8 @@ HttpResponse HandleQuery(const HttpRequest& http_request,
   }
   const size_t type = request->index();
   const int64_t parsed_us = obs::NowMicros();
-  // Single queries are where concurrency hides batchability: route them
-  // through the coalescer (explicit client batches are already batched).
-  // The latency sample covers the scoring path a client waits on (incl.
-  // any coalescing window), not JSON encode/decode; batch_wait splits the
-  // coalescing window out of it again for the stage histograms.
-  double batch_wait_us = 0.0;
-  auto response = coalescer != nullptr
-                      ? coalescer->Execute(model, *request, &batch_wait_us)
-                      : model->engine->Query(*request);
+  // The latency sample covers the scoring path, not JSON encode/decode.
+  auto response = model->engine->Query(*request);
   if (!response.ok()) {
     stats->CountQueryError(name);
     return ErrorResponse(response.status());
@@ -567,14 +559,10 @@ HttpResponse HandleQuery(const HttpRequest& http_request,
 
   RequestTiming& timing = http_request.timing;
   timing.parse_us = static_cast<double>(parsed_us - parse_start_us);
-  timing.batch_wait_us = batch_wait_us;
-  timing.scoring_us =
-      static_cast<double>(scored_us - parsed_us) - batch_wait_us;
+  timing.scoring_us = static_cast<double>(scored_us - parsed_us);
   timing.serialize_us = static_cast<double>(serialized_us - scored_us);
   stats->RecordQueryStage(type, ServiceStats::QueryStage::kParse,
                           timing.parse_us);
-  stats->RecordQueryStage(type, ServiceStats::QueryStage::kBatchWait,
-                          timing.batch_wait_us);
   stats->RecordQueryStage(type, ServiceStats::QueryStage::kScoring,
                           timing.scoring_us);
   stats->RecordQueryStage(type, ServiceStats::QueryStage::kSerialize,
@@ -674,8 +662,7 @@ HttpResponse HandleHealthz(ModelRegistry* registry) {
 }
 
 HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
-                          const ServiceStats* stats,
-                          const Coalescer* coalescer) {
+                          const ServiceStats* stats) {
   const HttpServerStats transport = server->stats();
   Json server_json = Json::MakeObject();
   server_json.Set("connections_accepted", Json(transport.connections_accepted));
@@ -730,8 +717,6 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
     model_json.Set("vocab",
                    Json(static_cast<uint64_t>(model->index.vocab_size())));
     model_json.Set("vocabulary_bundled", Json(model->vocabulary != nullptr));
-    model_json.Set("precompute_scoring",
-                   Json(model->index.has_scoring_tables()));
     out.Set("model", std::move(model_json));
   }
 
@@ -755,31 +740,16 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
   }
   out.Set("models", std::move(models_json));
 
-  if (coalescer != nullptr) {
-    const CoalescerStats batching = coalescer->stats();
-    Json coalescer_json = Json::MakeObject();
-    coalescer_json.Set("enabled", Json(coalescer->enabled()));
-    coalescer_json.Set("window_us", Json(coalescer->options().window_us));
-    coalescer_json.Set("max_batch", Json(coalescer->options().max_batch));
-    coalescer_json.Set("requests", Json(batching.requests));
-    coalescer_json.Set("batches", Json(batching.batches));
-    coalescer_json.Set("coalesced", Json(batching.coalesced));
-    coalescer_json.Set("flush_full", Json(batching.flush_full));
-    coalescer_json.Set("flush_timeout", Json(batching.flush_timeout));
-    coalescer_json.Set("flush_mismatch", Json(batching.flush_mismatch));
-    out.Set("coalescer", std::move(coalescer_json));
-  }
   return JsonResponse(200, out);
 }
 
 /// GET /metricsz: Prometheus text exposition. The ServiceStats registry
-/// renders itself; transport (HttpServerStats), model-registry, and
-/// coalescer numbers live in their own structs and are synthesized into
-/// families here at scrape time — same sources /statsz reads, same scrape
+/// renders itself; transport (HttpServerStats) and model-registry numbers
+/// live in their own structs and are synthesized into families here at
+/// scrape time — same sources /statsz reads, same scrape
 /// consistency (counters are independently relaxed either way).
 HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
-                            const ServiceStats* stats,
-                            const Coalescer* coalescer) {
+                            const ServiceStats* stats) {
   std::string out = stats->registry()->ExpositionText();
 
   const HttpServerStats transport = server->stats();
@@ -834,36 +804,6 @@ HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
     obs::AppendSampleLine(&out, "cpd_model_generation",
                           {{"model", info.name}},
                           static_cast<double>(info.generation));
-  }
-
-  if (coalescer != nullptr) {
-    const CoalescerStats batching = coalescer->stats();
-    obs::AppendExpositionHeader(&out, "cpd_coalescer_requests_total",
-                                "Single queries routed via the coalescer.",
-                                "counter");
-    obs::AppendSampleLine(&out, "cpd_coalescer_requests_total", {},
-                          static_cast<double>(batching.requests));
-    obs::AppendExpositionHeader(&out, "cpd_coalescer_batches_total",
-                                "Engine batches the coalescer executed.",
-                                "counter");
-    obs::AppendSampleLine(&out, "cpd_coalescer_batches_total", {},
-                          static_cast<double>(batching.batches));
-    obs::AppendExpositionHeader(&out, "cpd_coalescer_coalesced_total",
-                                "Queries that shared a batch with others.",
-                                "counter");
-    obs::AppendSampleLine(&out, "cpd_coalescer_coalesced_total", {},
-                          static_cast<double>(batching.coalesced));
-    obs::AppendExpositionHeader(&out, "cpd_coalescer_flush_total",
-                                "Batch flushes, by trigger.", "counter");
-    obs::AppendSampleLine(&out, "cpd_coalescer_flush_total",
-                          {{"reason", "full"}},
-                          static_cast<double>(batching.flush_full));
-    obs::AppendSampleLine(&out, "cpd_coalescer_flush_total",
-                          {{"reason", "timeout"}},
-                          static_cast<double>(batching.flush_timeout));
-    obs::AppendSampleLine(&out, "cpd_coalescer_flush_total",
-                          {{"reason", "mismatch"}},
-                          static_cast<double>(batching.flush_mismatch));
   }
 
   HttpResponse response;
@@ -1040,15 +980,14 @@ HttpResponse HandleIngest(const HttpRequest& http_request,
 }  // namespace
 
 void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
-                       ServiceStats* stats, ingest::IngestPipeline* pipeline,
-                       Coalescer* coalescer) {
+                       ServiceStats* stats, ingest::IngestPipeline* pipeline) {
   server->Handle("POST", "/v1/query",
-                 [registry, stats, coalescer](const HttpRequest& request) {
-                   return HandleQuery(request, registry, stats, coalescer);
+                 [registry, stats](const HttpRequest& request) {
+                   return HandleQuery(request, registry, stats);
                  });
   server->Handle("POST", "/v1/models/{model}/query",
-                 [registry, stats, coalescer](const HttpRequest& request) {
-                   return HandleQuery(request, registry, stats, coalescer);
+                 [registry, stats](const HttpRequest& request) {
+                   return HandleQuery(request, registry, stats);
                  });
   server->Handle("GET", "/v1/membership/{user}",
                  [registry, stats](const HttpRequest& request) {
@@ -1065,12 +1004,12 @@ void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
     return HandleHealthz(registry);
   });
   server->Handle("GET", "/statsz",
-                 [server, registry, stats, coalescer](const HttpRequest&) {
-                   return HandleStatsz(server, registry, stats, coalescer);
+                 [server, registry, stats](const HttpRequest&) {
+                   return HandleStatsz(server, registry, stats);
                  });
   server->Handle("GET", "/metricsz",
-                 [server, registry, stats, coalescer](const HttpRequest&) {
-                   return HandleMetricsz(server, registry, stats, coalescer);
+                 [server, registry, stats](const HttpRequest&) {
+                   return HandleMetricsz(server, registry, stats);
                  });
   server->Handle("POST", "/admin/reload",
                  [registry](const HttpRequest& request) {

@@ -35,7 +35,6 @@
 ///   GET  /healthz               serving generation + model liveness
 ///   GET  /statsz                transport + service + per-model counters,
 ///                               per-query-type latency p50/p99
-///                               (+ "coalescer" when micro-batching is on)
 ///   GET  /metricsz              the same numbers (plus per-stage latency
 ///                               histograms) as Prometheus text exposition
 ///                               (docs/OBSERVABILITY.md is the catalog)
@@ -59,7 +58,6 @@
 
 #include "obs/metrics.h"
 #include "serve/query_engine.h"
-#include "server/coalescer.h"
 #include "server/http_server.h"
 #include "server/model_registry.h"
 #include "util/json.h"
@@ -93,11 +91,10 @@ class ServiceStats {
 
   /// Handler-side stages of one query, recorded with the resolved query
   /// type (cpd_query_stage_us{query_type,stage}).
-  enum class QueryStage { kParse = 0, kBatchWait = 1, kScoring = 2,
-                          kSerialize = 3 };
-  static constexpr size_t kNumQueryStages = 4;
+  enum class QueryStage { kParse = 0, kScoring = 1, kSerialize = 2 };
+  static constexpr size_t kNumQueryStages = 3;
   static constexpr const char* kQueryStageNames[kNumQueryStages] = {
-      "parse", "batch_wait", "scoring", "serialize"};
+      "parse", "scoring", "serialize"};
 
   /// Transport-side stages recorded by HttpServer's stage-recorder hook,
   /// where the query type is unknown (cpd_request_stage_us{stage}).
@@ -201,16 +198,13 @@ Json QueryRequestToJson(const serve::QueryRequest& request);
 Json QueryResponseToJson(const serve::QueryResponse& response);
 
 /// Registers every CPD endpoint on `server`. The registry, stats, and (when
-/// given) pipeline and coalescer must outlive the server; the registry must
-/// already hold a model (handlers answer 503 otherwise). `pipeline` enables
+/// given) pipeline must outlive the server; the registry must already hold
+/// a model (handlers answer 503 otherwise). `pipeline` enables
 /// POST /admin/ingest — null keeps the route registered but answering 409
-/// (the server was started without the training graph). `coalescer` (when
-/// non-null and enabled) micro-batches single queries through the
-/// QueryBatch path; batch requests and GET shortcuts bypass it.
+/// (the server was started without the training graph).
 void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
                        ServiceStats* stats,
-                       ingest::IngestPipeline* pipeline = nullptr,
-                       Coalescer* coalescer = nullptr);
+                       ingest::IngestPipeline* pipeline = nullptr);
 
 }  // namespace cpd::server
 

@@ -258,8 +258,6 @@ TEST_F(HttpServerTest, HealthzStatszAndTypedErrors) {
   EXPECT_GE(stats_json->Find("service")->Find("queries")->number(), 1.0);
   EXPECT_GE(stats_json->Find("server")->Find("requests")->number(), 2.0);
   EXPECT_EQ(stats_json->Find("model")->Find("generation")->number(), 1.0);
-  EXPECT_TRUE(
-      stats_json->Find("model")->Find("precompute_scoring")->bool_value());
   // The membership query above landed one latency sample for its type.
   const Json* latency = stats_json->Find("service")->Find("latency");
   ASSERT_NE(latency, nullptr);

@@ -1,7 +1,7 @@
 // Differential suite over the two I/O backends: the same request trace
 // driven through --io_mode blocking and --io_mode epoll must produce
 // byte-identical responses (bodies, statuses, and raw framing-error
-// replies), with and without request coalescing. Also pins the epoll-mode
+// replies). Also pins the epoll-mode
 // behavior of the admission/deadline/drain machinery that the blocking
 // suite covers in http_server_test.cc.
 
@@ -22,7 +22,6 @@
 
 #include "core/cpd_model.h"
 #include "obs/clock.h"
-#include "server/coalescer.h"
 #include "server/http_server.h"
 #include "server/json_api.h"
 #include "server/model_registry.h"
@@ -32,8 +31,6 @@
 namespace cpd {
 namespace {
 
-using server::Coalescer;
-using server::CoalescerOptions;
 using server::HttpClient;
 using server::HttpRequest;
 using server::HttpResponse;
@@ -125,8 +122,7 @@ class IoModeDifferentialTest : public ::testing::Test {
   /// Runs the trace through a fresh server in `mode`; returns
   /// "status\nbody" per exchange, over one keep-alive connection.
   static std::vector<std::string> RunTrace(IoMode mode,
-                                           const std::vector<Exchange>& trace,
-                                           int coalesce_window_us = 0) {
+                                           const std::vector<Exchange>& trace) {
     server::ModelRegistry registry(serve::ProfileIndexOptions{},
                                    SharedGraph());
     registry.SetClock([] { return int64_t{1754500000000}; });
@@ -141,11 +137,7 @@ class IoModeDifferentialTest : public ::testing::Test {
     options.log_requests = false;
     HttpServer http_server(options);
     server::ServiceStats stats;
-    CoalescerOptions coalescer_options;
-    coalescer_options.window_us = coalesce_window_us;
-    Coalescer coalescer(coalescer_options);
-    server::RegisterCpdRoutes(&http_server, &registry, &stats, nullptr,
-                              &coalescer);
+    server::RegisterCpdRoutes(&http_server, &registry, &stats);
     CPD_CHECK(http_server.Start().ok());
 
     std::vector<std::string> results;
@@ -217,25 +209,10 @@ TEST_F(IoModeDifferentialTest, CanonicalTraceIsByteIdenticalAcrossIoModes) {
   }
 }
 
-TEST_F(IoModeDifferentialTest, CoalescedResponsesMatchTheDirectPath) {
-  // A sequential client never fills a batch window with company, so every
-  // coalesced response is a flush-timeout singleton — and must still be
-  // byte-identical to the uncoalesced engine path (leader runs the same
-  // QueryBatch slots that Query() runs).
-  const std::vector<Exchange> trace = CanonicalTrace();
-  const std::vector<std::string> direct = RunTrace(IoMode::kEpoll, trace);
-  const std::vector<std::string> coalesced =
-      RunTrace(IoMode::kEpoll, trace, /*coalesce_window_us=*/500);
-  ASSERT_EQ(direct.size(), coalesced.size());
-  // The scrape views (last two exchanges) legitimately differ: they report
-  // the coalescer's own counters. Everything the client asked for must not.
-  for (size_t i = 0; i + 2 < direct.size(); ++i) {
-    EXPECT_EQ(direct[i], coalesced[i])
-        << trace[i].method << " " << trace[i].target;
-  }
-}
-
-TEST_F(IoModeDifferentialTest, ConcurrentCoalescedQueriesAreByteIdentical) {
+// Concurrent writers against epoll: every worker hands its response back to
+// the loop thread through the cross-thread completion queue, and each body
+// must still equal the in-process engine's bytes.
+TEST_F(IoModeDifferentialTest, ConcurrentQueriesAreByteIdentical) {
   server::ModelRegistry registry(serve::ProfileIndexOptions{}, SharedGraph());
   CPD_CHECK(registry.LoadFrom(*artifact_).ok());
   HttpServerOptions options;
@@ -245,16 +222,11 @@ TEST_F(IoModeDifferentialTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   options.log_requests = false;
   HttpServer http_server(options);
   server::ServiceStats stats;
-  CoalescerOptions coalescer_options;
-  coalescer_options.window_us = 2000;  // Wide window: force real batches.
-  coalescer_options.max_batch = 8;
-  Coalescer coalescer(coalescer_options);
-  server::RegisterCpdRoutes(&http_server, &registry, &stats, nullptr,
-                            &coalescer);
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
   ASSERT_TRUE(http_server.Start().ok());
   const int port = http_server.port();
 
-  // Expected bytes per user, from the uncoalesced in-process engine.
+  // Expected bytes per user, from the in-process engine.
   const auto snapshot = registry.Snapshot();
   std::vector<std::string> expected;
   for (int user = 0; user < 8; ++user) {
@@ -290,10 +262,7 @@ TEST_F(IoModeDifferentialTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  const server::CoalescerStats batching = coalescer.stats();
-  EXPECT_EQ(batching.requests, 320u);
-  EXPECT_GT(batching.batches, 0u);
-  EXPECT_GT(batching.coalesced, 0u);  // 8 writers in a 2ms window do meet.
+  EXPECT_EQ(stats.queries(), 320u);
   http_server.Stop();
 }
 

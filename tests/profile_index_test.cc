@@ -7,7 +7,7 @@
 
 #include "core/cpd_model.h"
 #include "core/model_artifact.h"
-#include "parallel/thread_pool.h"
+#include "core/model_state.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
 #include "test_util.h"
@@ -412,44 +412,57 @@ TEST_F(ProfileIndexTest, QueriesValidateRequests) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(ProfileIndexTest, BatchMatchesSequentialAndIsolatesErrors) {
-  const ProfileIndex index = ProfileIndex::FromModel(*model_);
-  const QueryEngine engine(index, &data_->graph);
+/// The graph is bound independently of the index, so a diffusion query
+/// must check its users against the graph and its document's words against
+/// the index: a 65-user, one-word index over the 60-user tiny graph has
+/// ids that are valid on one side and out of bounds on the other.
+TEST_F(ProfileIndexTest, DiffusionRejectsIdsOutsideTheBoundGraph) {
+  ModelArtifact artifact;
+  artifact.num_communities = 2;
+  artifact.num_topics = 2;
+  artifact.num_users = data_->graph.num_users() + 5;
+  artifact.vocab_size = 1;
+  artifact.num_time_bins = 1;
+  artifact.pi.assign(artifact.num_users * 2, 0.5);
+  artifact.theta.assign(2 * 2, 0.5);
+  artifact.phi.assign(2 * 1, 1.0);
+  artifact.eta.assign(2 * 2 * 2, 0.5);
+  artifact.weights.assign(kNumDiffusionWeights, 0.1);
+  artifact.popularity.assign(1 * 2, 0.5);
+  auto index = ProfileIndex::FromArtifact(std::move(artifact));
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const QueryEngine engine(*index, &data_->graph);
+  const auto graph_users = static_cast<UserId>(data_->graph.num_users());
 
-  std::vector<QueryRequest> requests;
-  for (UserId u = 0; u < 20; ++u) {
-    serve::MembershipRequest membership;
-    membership.user = u;
-    membership.include_distribution = true;
-    requests.push_back(membership);
+  // A document with a word id the one-word index does not have.
+  DocId wide_doc = -1;
+  for (DocId d = 0; static_cast<size_t>(d) < data_->graph.num_documents();
+       ++d) {
+    const auto& words = data_->graph.document(d).words;
+    if (std::any_of(words.begin(), words.end(),
+                    [](WordId w) { return w > 0; })) {
+      wide_doc = d;
+      break;
+    }
   }
-  serve::MembershipRequest bad;
-  bad.user = -5;
-  requests.insert(requests.begin() + 7, bad);
-  serve::RankCommunitiesRequest rank;
-  rank.words = {2};
-  requests.push_back(rank);
+  ASSERT_GE(wide_doc, 0);
 
-  ThreadPool pool(4);
-  const auto pooled = engine.QueryBatch(requests, &pool);
-  const auto inline_run = engine.QueryBatch(requests, nullptr);
-  ASSERT_EQ(pooled.size(), requests.size());
-  ASSERT_EQ(inline_run.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(pooled[i].ok(), inline_run[i].ok()) << "slot " << i;
-    if (!pooled[i].ok()) {
-      EXPECT_EQ(pooled[i].status().code(), inline_run[i].status().code());
-      continue;
-    }
-    if (const auto* m = std::get_if<serve::MembershipResponse>(&*pooled[i])) {
-      const auto& s = std::get<serve::MembershipResponse>(*inline_run[i]);
-      EXPECT_EQ(m->distribution, s.distribution);
-    }
-  }
-  // The bad slot failed; its neighbors did not.
-  EXPECT_FALSE(pooled[7].ok());
-  EXPECT_TRUE(pooled[6].ok());
-  EXPECT_TRUE(pooled[8].ok());
+  serve::DiffusionRequest request;
+  request.source = graph_users + 2;  // In the index, past the graph.
+  request.target = 0;
+  request.document = wide_doc;
+  EXPECT_EQ(engine.Diffusion(request).status().code(),
+            StatusCode::kOutOfRange);
+  request.source = 0;
+  request.target = graph_users + 3;
+  EXPECT_EQ(engine.Diffusion(request).status().code(),
+            StatusCode::kOutOfRange);
+
+  request.target = 1;
+  EXPECT_EQ(engine.Diffusion(request).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(engine.DocumentTopicPosterior(wide_doc).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 // ----- artifact v2: bundled vocabulary -----

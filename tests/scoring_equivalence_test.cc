@@ -1,9 +1,8 @@
-// Fast-vs-reference scoring equivalence: every query type must answer
-// identically whether the ProfileIndex carries the precomputed scoring
-// tables (ProfileIndexOptions::precompute_scoring, the serving fast path)
-// or scores through the naive reference kernels. The precompute build
-// mirrors the reference kernels' accumulation orders exactly, so the pin
-// is bitwise equality, not a tolerance.
+// Engine-vs-oracle scoring equivalence: every query type the QueryEngine
+// answers off the index's precomputed scoring tables must equal the naive
+// reference kernels of reference_scoring.h. The table build mirrors the
+// reference kernels' accumulation orders exactly, so the pin is bitwise
+// equality, not a tolerance.
 
 #include <gtest/gtest.h>
 
@@ -17,16 +16,17 @@
 #include "core/model_state.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
+#include "reference_scoring.h"
 #include "test_util.h"
 
 namespace cpd {
 namespace {
 
 using serve::ProfileIndex;
-using serve::ProfileIndexOptions;
 using serve::QueryEngine;
 using serve::QueryRequest;
 using serve::QueryResponse;
+using testing::ReferenceScorer;
 
 class ScoringEquivalenceTest : public ::testing::Test {
  protected:
@@ -41,23 +41,18 @@ class ScoringEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(model.ok()) << model.status().ToString();
 
     fast_ = new ProfileIndex(ProfileIndex::FromModel(*model));
-    ProfileIndexOptions reference_options;
-    reference_options.precompute_scoring = false;
-    reference_ =
-        new ProfileIndex(ProfileIndex::FromModel(*model, reference_options));
   }
   static void TearDownTestSuite() {
     delete fast_;
-    delete reference_;
     delete data_;
     fast_ = nullptr;
-    reference_ = nullptr;
     data_ = nullptr;
   }
 
-  /// Both engines answer `request` OK and the responses match bitwise.
+  /// The engine and the oracle answer `request` OK and the responses match
+  /// bitwise.
   static void ExpectIdentical(const QueryEngine& fast,
-                              const QueryEngine& reference,
+                              const ReferenceScorer& reference,
                               const QueryRequest& request) {
     const auto expected = reference.Query(request);
     const auto actual = fast.Query(request);
@@ -100,16 +95,12 @@ class ScoringEquivalenceTest : public ::testing::Test {
 
   static SynthResult* data_;
   static ProfileIndex* fast_;
-  static ProfileIndex* reference_;
 };
 
 SynthResult* ScoringEquivalenceTest::data_ = nullptr;
 ProfileIndex* ScoringEquivalenceTest::fast_ = nullptr;
-ProfileIndex* ScoringEquivalenceTest::reference_ = nullptr;
 
-TEST_F(ScoringEquivalenceTest, PrecomputeOptionControlsTheTables) {
-  EXPECT_TRUE(fast_->has_scoring_tables());
-  EXPECT_FALSE(reference_->has_scoring_tables());
+TEST_F(ScoringEquivalenceTest, ScoringTablesMatchTheirDefinitions) {
   // The tables really are what the kernels assume: M = sum_c2 G row,
   // G = eta * theta, log-phi rows = floored std::log of the phi columns.
   for (int c = 0; c < fast_->num_communities(); ++c) {
@@ -137,11 +128,11 @@ TEST_F(ScoringEquivalenceTest, PrecomputeOptionControlsTheTables) {
 
 TEST_F(ScoringEquivalenceTest, RankCommunitiesMatchesReference) {
   const QueryEngine fast(*fast_);
-  const QueryEngine reference(*reference_);
+  const ReferenceScorer reference(*fast_);
   const WordId vocab = static_cast<WordId>(fast_->vocab_size());
   for (const bool include_distribution : {true, false}) {
     for (const int top_k : {0, 1, 2, 100}) {
-      for (const std::vector<WordId> words :
+      for (const std::vector<WordId>& words :
            {std::vector<WordId>{}, std::vector<WordId>{0},
             std::vector<WordId>{1, 2},
             std::vector<WordId>{static_cast<WordId>(vocab - 1), 3, 3, 5}}) {
@@ -156,18 +147,16 @@ TEST_F(ScoringEquivalenceTest, RankCommunitiesMatchesReference) {
 }
 
 TEST_F(ScoringEquivalenceTest, RankSkipsTopicDistributionWhenNotRequested) {
-  for (const ProfileIndex* index : {fast_, reference_}) {
-    const QueryEngine engine(*index);
-    serve::RankCommunitiesRequest request;
-    request.words = {0, 1};
-    request.include_topic_distribution = false;
-    const auto response = engine.RankCommunities(request);
-    ASSERT_TRUE(response.ok());
-    for (const auto& entry : response->ranked) {
-      EXPECT_TRUE(entry.topic_distribution.empty());
-      EXPECT_EQ(entry.topic_distribution.capacity(), 0u)
-          << "distribution buffer was allocated despite not being requested";
-    }
+  const QueryEngine engine(*fast_);
+  serve::RankCommunitiesRequest request;
+  request.words = {0, 1};
+  request.include_topic_distribution = false;
+  const auto response = engine.RankCommunities(request);
+  ASSERT_TRUE(response.ok());
+  for (const auto& entry : response->ranked) {
+    EXPECT_TRUE(entry.topic_distribution.empty());
+    EXPECT_EQ(entry.topic_distribution.capacity(), 0u)
+        << "distribution buffer was allocated despite not being requested";
   }
 }
 
@@ -208,29 +197,24 @@ TEST_F(ScoringEquivalenceTest, TopKTieBreakingIsStable) {
   artifact.eta.assign(5 * 5 * 3, 0.5);
   artifact.weights.assign(kNumDiffusionWeights, 0.0);
   artifact.popularity.assign(1 * 3, 1.0 / 3);
-  for (const bool precompute : {true, false}) {
-    ProfileIndexOptions options;
-    options.precompute_scoring = precompute;
-    ModelArtifact copy = artifact;
-    auto index = ProfileIndex::FromArtifact(std::move(copy), options);
-    ASSERT_TRUE(index.ok());
-    const QueryEngine engine(*index);
-    serve::RankCommunitiesRequest request;
-    request.words = {0, 1};
-    request.top_k = 3;
-    const auto response = engine.RankCommunities(request);
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response->ranked.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(response->ranked[static_cast<size_t>(i)].community, i)
-          << "precompute=" << precompute;
-    }
+  auto index = ProfileIndex::FromArtifact(std::move(artifact));
+  ASSERT_TRUE(index.ok());
+  const QueryEngine engine(*index);
+  serve::RankCommunitiesRequest request;
+  request.words = {0, 1};
+  request.top_k = 3;
+  const auto response = engine.RankCommunities(request);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->ranked.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(response->ranked[static_cast<size_t>(i)].community, i);
   }
+  ExpectIdentical(engine, ReferenceScorer(*index), request);
 }
 
 TEST_F(ScoringEquivalenceTest, MembershipAndTopUsersMatchReference) {
   const QueryEngine fast(*fast_);
-  const QueryEngine reference(*reference_);
+  const ReferenceScorer reference(*fast_);
   for (UserId u = 0; u < 10; ++u) {
     serve::MembershipRequest request;
     request.user = u;
@@ -263,7 +247,7 @@ TEST_F(ScoringEquivalenceTest, TopUsersWeightsComeFromThePosting) {
 
 TEST_F(ScoringEquivalenceTest, DiffusionAndPosteriorMatchReference) {
   const QueryEngine fast(*fast_, &data_->graph);
-  const QueryEngine reference(*reference_, &data_->graph);
+  const ReferenceScorer reference(*fast_, &data_->graph);
   const auto& links = data_->graph.diffusion_links();
   ASSERT_FALSE(links.empty());
   for (size_t e = 0; e < std::min<size_t>(8, links.size()); ++e) {
@@ -292,10 +276,10 @@ TEST_F(ScoringEquivalenceTest, DiffusionAndPosteriorMatchReference) {
   }
 }
 
-/// Degenerate requests behave identically across the two kernel sets.
+/// Degenerate requests behave identically in the engine and the oracle.
 TEST_F(ScoringEquivalenceTest, DegenerateRequestsAgree) {
   const QueryEngine fast(*fast_);
-  const QueryEngine reference(*reference_);
+  const ReferenceScorer reference(*fast_);
   serve::RankCommunitiesRequest bad_word;
   bad_word.words = {static_cast<WordId>(fast_->vocab_size())};
   EXPECT_EQ(fast.RankCommunities(bad_word).status().code(),

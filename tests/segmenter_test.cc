@@ -32,7 +32,9 @@ TEST(SegmenterTest, WorkloadsArePositiveAndAdditive) {
     double manual = 0.0;
     for (UserId u : segment.users) manual += EstimateUserWorkload(graph, u, cost);
     EXPECT_NEAR(segment.estimated_workload, manual, 1e-9);
-    if (!segment.users.empty()) EXPECT_GT(segment.estimated_workload, 0.0);
+    if (!segment.users.empty()) {
+      EXPECT_GT(segment.estimated_workload, 0.0);
+    }
   }
 }
 

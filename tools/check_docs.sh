@@ -6,7 +6,8 @@
 #      docs/HTTP_API.md, so new endpoints cannot ship undocumented;
 #   3. every metric family name ("cpd_..." string literal in src/**/*.cc)
 #      must appear in the docs/OBSERVABILITY.md catalog, so new metrics
-#      cannot ship undocumented.
+#      cannot ship undocumented; and every family in a catalog table row
+#      must be such a literal, so deleted metrics cannot linger there.
 # Exits non-zero listing every violation.
 
 set -u
@@ -74,6 +75,21 @@ else
     if ! grep -qF "$metric" "$obs_doc"; then
       echo "UNDOCUMENTED METRIC: $metric (registered in src, absent from" \
            "$obs_doc)"
+      failures=1
+    fi
+  done
+  # Catalog rows are table lines whose first cell is a `cpd_...` family.
+  catalog=$(grep -oE '^\| `cpd_[a-z0-9_]+`' "$obs_doc" |
+            sed -e 's/^| `//' -e 's/`$//' | sort -u)
+  if [ -z "$catalog" ]; then
+    echo "ERROR: no catalog rows extracted from $obs_doc" \
+         "(did the table layout change?)"
+    failures=1
+  fi
+  for family in $catalog; do
+    if ! printf '%s\n' "$metrics" | grep -qxF "$family"; then
+      echo "STALE METRIC: $family (in the $obs_doc catalog, not a" \
+           "\"$family\" literal in src/**/*.cc)"
       failures=1
     fi
   done

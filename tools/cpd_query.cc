@@ -1,7 +1,7 @@
 // Serving front end for trained models: load a binary ".cpdb" artifact (or
 // a legacy text model) into a ProfileIndex and answer the four §5 query
-// types through the QueryEngine — interactively (REPL on stdin) or as a
-// batch file fanned out over a thread pool. v2 artifacts bundle the
+// types through the QueryEngine — interactively (REPL on stdin) or from a
+// batch file. v2 artifacts bundle the
 // vocabulary, so textual `rank` queries work without --vocab (the flag
 // remains as an override).
 //
@@ -9,7 +9,7 @@
 //   cpd_query --model model.cpdb [--vocab vocab.tsv] [--top_k 5]
 //             [--users N --docs docs.tsv --friends friends.tsv
 //              --diffusion diffusion.tsv]                 (enables `diffusion`)
-//             [--batch queries.txt] [--threads 4]
+//             [--batch queries.txt]
 //
 // Commands (one per line):
 //   membership <user> [k]          top-k communities of a user
@@ -21,10 +21,8 @@
 //   help | quit
 //
 // The REPL answers one query at a time; --batch parses every line first,
-// runs them through QueryEngine::QueryBatch (--threads workers), and prints
-// the responses in input order.
+// answers them in input order, and prints the responses.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -37,7 +35,6 @@
 
 #include "apps/community_ranking.h"
 #include "graph/graph_io.h"
-#include "parallel/thread_pool.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
 #include "text/vocabulary.h"
@@ -56,9 +53,9 @@ using cpd::serve::QueryResponse;
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
-               "          [--precompute 1] [--users N --docs docs.tsv "
+               "          [--users N --docs docs.tsv "
                "--friends friends.tsv --diffusion diffusion.tsv]\n"
-               "          [--batch queries.txt] [--threads 1]\n"
+               "          [--batch queries.txt]\n"
                "commands: membership <user> [k] | rank <term...> |\n"
                "          topusers <community> [k] | diffusion <u> <v> <doc> "
                "<t> | help | quit\n",
@@ -66,8 +63,8 @@ void Usage(const char* argv0) {
 }
 
 const std::set<std::string> kKnownFlags = {
-    "model", "vocab", "top_k",     "users",  "docs",
-    "friends", "diffusion", "batch", "threads", "precompute"};
+    "model", "vocab", "top_k", "users", "docs", "friends", "diffusion",
+    "batch"};
 
 /// Parses one command line into a typed request. `vocab` may be null (rank
 /// terms are then numeric word ids).
@@ -203,9 +200,6 @@ int main(int argc, char** argv) {
   cpd::serve::ProfileIndexOptions options;
   options.membership_top_k =
       static_cast<int>(int_flag("top_k", options.membership_top_k));
-  // --precompute 0 skips the query-invariant scoring tables (naive
-  // reference kernels; saves (|C|+|V|+|C|^2)*|Z| doubles of index memory).
-  options.precompute_scoring = int_flag("precompute", 1) != 0;
   cpd::WallTimer load_timer;
   auto bundle = cpd::serve::LoadModelBundle(args["model"], options);
   if (!bundle.ok()) {
@@ -282,13 +276,12 @@ int main(int argc, char** argv) {
       commands.push_back(line);
       requests.push_back(std::move(*request));
     }
-    const int threads =
-        std::max(1, static_cast<int>(int_flag("threads", 1)));
-    std::optional<cpd::ThreadPool> pool;
-    if (threads > 1) pool.emplace(static_cast<size_t>(threads));
     cpd::WallTimer timer;
-    const auto responses =
-        engine.QueryBatch(requests, pool ? &*pool : nullptr);
+    std::vector<cpd::StatusOr<QueryResponse>> responses;
+    responses.reserve(requests.size());
+    for (const QueryRequest& request : requests) {
+      responses.push_back(engine.Query(request));
+    }
     const double elapsed = timer.ElapsedSeconds();
     for (size_t i = 0; i < responses.size(); ++i) {
       std::printf("> %s\n", commands[i].c_str());
@@ -298,9 +291,9 @@ int main(int argc, char** argv) {
       }
       PrintResponse(*responses[i], *index, vocab_ptr);
     }
-    std::printf("%zu queries in %.1f ms (%.0f queries/sec, %d threads)\n",
+    std::printf("%zu queries in %.1f ms (%.0f queries/sec)\n",
                 responses.size(), elapsed * 1e3,
-                static_cast<double>(responses.size()) / elapsed, threads);
+                static_cast<double>(responses.size()) / elapsed);
     return 0;
   }
 

@@ -4,10 +4,8 @@
 //
 // Usage:
 //   cpd_serve --model model.cpdb [--vocab vocab.tsv] [--top_k 5]
-//             [--precompute 1]
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
 //             [--io_mode epoll|blocking] [--max_connections 1024]
-//             [--coalesce_window_us 0] [--coalesce_max 16]
 //             [--max_inflight 64] [--deadline_ms 0]
 //             [--log_level info] [--metrics on|off] [--slow_request_ms 500]
 //             [--users N --docs docs.tsv --friends friends.tsv
@@ -32,8 +30,7 @@
 //
 // I/O: --io_mode epoll (default) multiplexes up to --max_connections on an
 // event loop; blocking is the thread-per-connection path (--threads is then
-// also the connection cap). --coalesce_window_us > 0 micro-batches
-// concurrent single queries through the batched scoring path.
+// also the connection cap).
 //
 // Overload returns 429 + Retry-After; requests over --deadline_ms return
 // 504; SIGINT drains in-flight requests before exiting.
@@ -65,11 +62,10 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
-               "          [--precompute 1] [--load_mode auto|heap|mmap]\n"
+               "          [--load_mode auto|heap|mmap]\n"
                "          [--port 8080] [--host 127.0.0.1] [--threads 4]\n"
                "          [--io_mode epoll|blocking] [--max_connections "
                "1024]\n"
-               "          [--coalesce_window_us 0] [--coalesce_max 16]\n"
                "          [--max_inflight 64] [--deadline_ms 0]\n"
                "          [--log_level debug|info|warning|error|off]\n"
                "          [--metrics on|off] [--slow_request_ms 500]\n"
@@ -85,7 +81,6 @@ const std::set<std::string> kKnownFlags = {
     "threads", "users", "docs",         "friends",     "diffusion",
     "max_inflight",     "deadline_ms",  "warm_iters",  "ingest_threads",
     "ingest_out",       "io_mode",      "max_connections",
-    "coalesce_window_us", "coalesce_max", "precompute",
     "log_level", "metrics", "slow_request_ms",
     "load_mode", "emit_delta"};
 
@@ -139,9 +134,6 @@ int main(int argc, char** argv) {
   cpd::serve::ProfileIndexOptions index_options;
   index_options.membership_top_k =
       static_cast<int>(int_flag("top_k", index_options.membership_top_k));
-  // --precompute 0 serves through the naive reference kernels (saves
-  // (|C|+|V|+|C|^2)*|Z| doubles of index memory per generation).
-  index_options.precompute_scoring = int_flag("precompute", 1) != 0;
   // --load_mode mmap serves the v3 artifact straight off the page cache
   // (and makes non-v3 inputs a hard error); heap forces the copying
   // reference path; auto (default) maps v3 and copies everything else.
@@ -272,21 +264,10 @@ int main(int argc, char** argv) {
   // breakdown (0 disables the slow log).
   options.slow_request_us = int_flag("slow_request_ms", 500) * 1000;
 
-  cpd::server::CoalescerOptions coalescer_options;
-  coalescer_options.window_us =
-      static_cast<int>(int_flag("coalesce_window_us", 0));
-  coalescer_options.max_batch = static_cast<int>(int_flag("coalesce_max", 16));
-  cpd::server::Coalescer coalescer(coalescer_options);
-  if (coalescer.enabled()) {
-    std::printf("request coalescing enabled (window %d us, max batch %d)\n",
-                coalescer_options.window_us, coalescer_options.max_batch);
-  }
-
   cpd::server::HttpServer server(options);
   cpd::server::ServiceStats stats;
   stats.set_metrics_enabled(metrics_enabled);
-  cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get(),
-                                 &coalescer);
+  cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get());
   const cpd::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
