@@ -86,7 +86,7 @@ void PrintBenchHeader(const std::string& title, const BenchScale& scale,
 
 /// Resident set size of this process in KiB (VmRSS from /proc/self/status),
 /// or 0 on platforms without procfs. Used by the load_mode bench sections to
-/// report how much private heap each artifact load mode pins.
+/// report how much private heap each artifact backing pins.
 long CurrentRssKb();
 
 }  // namespace cpd::bench

@@ -9,11 +9,12 @@
 //     random but properly normalized; no graph -> no diffusion share).
 // Per run: index build time, per-type p50/p99 latency and sequential-loop
 // throughput.
-// A "load_modes" section writes the large preset as a v3 .cpdb and times
-// ProfileIndex::LoadFromFile under load_mode=heap (full decode copy) vs
-// load_mode=mmap (zero-copy map + stored-derived adoption), with RSS
-// deltas, and emits "mmap_reload_speedup". Both modes include the
-// heap-built scoring tables, which every reload pays.
+// A "load_modes" section writes the large preset as a v2 and a v3 .cpdb
+// and times ProfileIndex::LoadFromFile on each: the "heap" row up-converts
+// the v2 file into an owned v3 image (decode + encode copies), the "mmap"
+// row maps the v3 file (zero-copy + stored-derived adoption). Rows carry
+// RSS deltas, and the section emits "mmap_reload_speedup". Both rows
+// include the heap-built scoring tables, which every reload pays.
 //
 // Follows the BENCH_sampler.json conventions: runs argument-free at a
 // laptop-friendly scale, honors CPD_BENCH_JSON_DIR, appends nothing.
@@ -26,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "../tests/artifact_test_util.h"  // The v2 writer is test-only.
 #include "bench_common.h"
 #include "core/model_artifact.h"
 #include "serve/profile_index.h"
@@ -207,26 +209,24 @@ struct LoadModeResult {
   long rss_delta_kb = 0;
 };
 
-// Times ProfileIndex::LoadFromFile on the large v3 artifact for one load
-// mode, scoring-table build included.
+// Times ProfileIndex::LoadFromFile on one file of the large preset,
+// scoring-table build included; `mode` names the row ("heap" for the
+// up-converted v2 file, "mmap" for the mapped v3 one).
 LoadModeResult MeasureLoadMode(const std::string& artifact_path,
-                               serve::ArtifactLoadMode mode) {
+                               const char* mode, bool mapped) {
   constexpr int kReloadIters = 5;
-  serve::ProfileIndexOptions options;
-  options.load_mode = mode;
   LoadModeResult result;
-  result.mode = serve::ArtifactLoadModeName(mode);
+  result.mode = mode;
   const long rss_before_kb = CurrentRssKb();
   std::optional<serve::ProfileIndex> held;  // Keeps the last load resident.
   double best_ms = 0.0;
   double total_ms = 0.0;
   for (int i = 0; i < kReloadIters; ++i) {
     WallTimer timer;
-    auto index = serve::ProfileIndex::LoadFromFile(artifact_path, options);
+    auto index = serve::ProfileIndex::LoadFromFile(artifact_path);
     const double ms = timer.ElapsedSeconds() * 1e3;
     CPD_CHECK(index.ok());
-    CPD_CHECK(index->is_mmap_backed() ==
-              (mode == serve::ArtifactLoadMode::kMmap));
+    CPD_CHECK(index->is_mmap_backed() == mapped);
     best_ms = (i == 0) ? ms : std::min(best_ms, ms);
     total_ms += ms;
     held.emplace(std::move(*index));
@@ -295,9 +295,12 @@ void Run() {
                 static_cast<unsigned long long>(artifact.vocab_size),
                 static_cast<unsigned long long>(artifact.num_users));
     Rng rng(20260808);
-    ModelArtifact copy = artifact;  // FromArtifact consumes the matrices.
     WallTimer build_timer;
-    auto index = serve::ProfileIndex::FromArtifact(std::move(copy));
+    auto bytes = EncodeModelArtifact(artifact);
+    CPD_CHECK(bytes.ok());
+    auto image = MappedModelArtifact::FromBytes(*bytes);
+    CPD_CHECK(image.ok());
+    auto index = serve::ProfileIndex::FromMapped(std::move(*image));
     const double build_seconds = build_timer.ElapsedSeconds();
     CPD_CHECK(index.ok());
     const std::vector<serve::QueryRequest> workload =
@@ -306,32 +309,36 @@ void Run() {
                                  build_seconds, workload));
   }
 
-  // ----- load_modes: reload latency + RSS, heap decode vs zero-copy mmap -----
+  // ----- load_modes: reload latency + RSS, v2 up-convert vs v3 mmap -----
   std::vector<LoadModeResult> load_modes;
   {
     Rng rng(20260809);
     const ModelArtifact artifact = MakeLargeArtifact(&rng);
     const char* tmpdir = std::getenv("TMPDIR");
-    const std::string artifact_path =
+    const std::string stem =
         (tmpdir != nullptr ? std::string(tmpdir) : std::string("/tmp")) +
-        "/bench_query_large.cpdb";
-    const Status write_status = WriteModelArtifact(artifact_path, artifact);
-    CPD_CHECK(write_status.ok());
-    for (const serve::ArtifactLoadMode mode :
-         {serve::ArtifactLoadMode::kHeap, serve::ArtifactLoadMode::kMmap}) {
-      load_modes.push_back(MeasureLoadMode(artifact_path, mode));
-      const LoadModeResult& r = load_modes.back();
+        "/bench_query_large";
+    const std::string v2_path = stem + "_v2.cpdb";
+    const std::string v3_path = stem + ".cpdb";
+    CPD_CHECK(WriteStringToFile(v2_path,
+                                testing::EncodeLegacyArtifact(artifact, 2))
+                  .ok());
+    CPD_CHECK(WriteModelArtifact(v3_path, artifact).ok());
+    load_modes.push_back(MeasureLoadMode(v2_path, "heap", /*mapped=*/false));
+    load_modes.push_back(MeasureLoadMode(v3_path, "mmap", /*mapped=*/true));
+    for (const LoadModeResult& r : load_modes) {
       std::printf("load_mode=%s reload best %.3fms mean %.3fms rss %+ldkB\n",
                   r.mode, r.reload_ms_best, r.reload_ms_mean, r.rss_delta_kb);
     }
-    std::remove(artifact_path.c_str());
+    std::remove(v2_path.c_str());
+    std::remove(v3_path.c_str());
   }
   double mmap_reload_speedup = 0.0;
   if (load_modes.size() == 2 && load_modes[1].reload_ms_best > 0.0) {
     mmap_reload_speedup =
         load_modes[0].reload_ms_best / load_modes[1].reload_ms_best;
   }
-  std::printf("mmap reload speedup over heap decode: %.1fx\n",
+  std::printf("mmap reload speedup over v2 up-conversion: %.1fx\n",
               mmap_reload_speedup);
 
   std::string json = "{\n  \"bench\": \"query_serving\",\n";

@@ -21,10 +21,11 @@
 // (framing + JSON + loopback) from query cost. `--connections N` overrides
 // the sweep with one custom level (e.g. 1024) on the epoll config.
 //
-// The JSON records which artifact load mode backs the serving index
-// ("load_mode") and a "reloads" section timing the full ModelRegistry
-// reload path (artifact load + vocabulary + engine + load-then-swap) under
-// load_mode=heap vs load_mode=mmap, with RSS deltas.
+// The JSON records which image backing serves the index ("load_mode":
+// "mmap" for a mapped v3 file) and a "reloads" section timing the full
+// ModelRegistry reload path (artifact load + vocabulary + engine +
+// load-then-swap) for the same model saved as v2 and up-converted into an
+// owned image ("heap") vs saved as v3 and mapped ("mmap"), with RSS deltas.
 //
 // Follows the BENCH_query.json conventions: laptop-friendly scale, honors
 // CPD_BENCH_JSON_DIR, records hardware_concurrency (a 1-core container
@@ -46,7 +47,9 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/artifact_test_util.h"  // The v2 writer is test-only.
 #include "bench_common.h"
+#include "core/model_artifact.h"
 #include "obs/metrics.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
@@ -272,7 +275,7 @@ void Run(int override_connections) {
                                          [](const SocialGraph*) {}));
   CPD_CHECK(registry.LoadFrom(artifact_path).ok());
 
-  // ----- reloads: full registry reload latency + RSS per load mode -----
+  // ----- reloads: full registry reload latency + RSS per backing -----
   // Measures the path /admin/reload exercises: artifact load, vocabulary,
   // engine rebuild, load-then-swap. Default serving options (scoring tables
   // on) so the numbers match what a production swap costs.
@@ -283,28 +286,40 @@ void Run(int override_connections) {
     long rss_delta_kb = 0;
   };
   std::vector<ReloadResult> reloads;
-  for (const serve::ArtifactLoadMode mode :
-       {serve::ArtifactLoadMode::kHeap, serve::ArtifactLoadMode::kMmap}) {
-    serve::ProfileIndexOptions options;
-    options.load_mode = mode;
+  const std::string v2_path = artifact_path + ".v2";
+  {
+    auto artifact = ReadModelArtifact(artifact_path);
+    CPD_CHECK(artifact.ok());
+    CPD_CHECK(WriteStringToFile(v2_path,
+                                testing::EncodeLegacyArtifact(*artifact, 2))
+                  .ok());
+  }
+  struct ReloadCase {
+    const char* mode;
+    const std::string* path;
+    bool mapped;
+  };
+  for (const ReloadCase& reload :
+       {ReloadCase{"heap", &v2_path, false},
+        ReloadCase{"mmap", &artifact_path, true}}) {
     server::ModelRegistry probe(
-        options, std::shared_ptr<const SocialGraph>(&dataset.data.graph,
-                                                    [](const SocialGraph*) {}));
+        serve::ProfileIndexOptions{},
+        std::shared_ptr<const SocialGraph>(&dataset.data.graph,
+                                           [](const SocialGraph*) {}));
     ReloadResult result;
-    result.mode = serve::ArtifactLoadModeName(mode);
+    result.mode = reload.mode;
     const long rss_before_kb = CurrentRssKb();
     constexpr int kReloadIters = 5;
     double best_ms = 0.0;
     double total_ms = 0.0;
     for (int i = 0; i < kReloadIters; ++i) {
       WallTimer timer;
-      CPD_CHECK(probe.LoadFrom(artifact_path).ok());
+      CPD_CHECK(probe.LoadFrom(*reload.path).ok());
       const double ms = timer.ElapsedSeconds() * 1e3;
       best_ms = (i == 0) ? ms : std::min(best_ms, ms);
       total_ms += ms;
     }
-    CPD_CHECK(probe.Snapshot()->index.is_mmap_backed() ==
-              (mode == serve::ArtifactLoadMode::kMmap));
+    CPD_CHECK(probe.Snapshot()->index.is_mmap_backed() == reload.mapped);
     result.reload_ms_best = best_ms;
     result.reload_ms_mean = total_ms / kReloadIters;
     result.rss_delta_kb = CurrentRssKb() - rss_before_kb;
@@ -423,6 +438,7 @@ void Run(int override_connections) {
     http_server.Stop();
   }
   std::filesystem::remove(artifact_path);
+  std::filesystem::remove(v2_path);
 
   std::string json = "{\n  \"bench\": \"server_load\",\n";
   json += StrFormat(
@@ -433,8 +449,8 @@ void Run(int override_connections) {
   json += StrFormat("  \"hardware_concurrency\": %u,\n",
                     std::thread::hardware_concurrency());
   json += StrFormat("  \"server_threads\": %d,\n", kServerThreads);
-  // Which artifact load mode backed the serving index for the whole sweep
-  // (kAuto maps v3 artifacts, so this is "mmap" unless the format regresses).
+  // Which image backing served the index for the whole sweep (the loader
+  // maps v3 artifacts, so this is "mmap" unless the format regresses).
   json += StrFormat("  \"load_mode\": \"%s\",\n",
                     registry.Snapshot()->index.is_mmap_backed() ? "mmap"
                                                                 : "heap");

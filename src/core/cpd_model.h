@@ -95,7 +95,7 @@ class CpdModel {
   /// text parsing on load, and directly mappable by serve::ProfileIndex.
   /// Pass the training vocabulary to bundle it into the artifact (v2+
   /// section) so cpd_query / cpd_serve need no side --vocab file.
-  /// `options` picks the wire version / layout (default: v3, mmap-ready);
+  /// `options` picks the v3 layout (stored top-k, section alignment);
   /// `generation` stamps the artifact's lineage id so a .cpdd delta can
   /// name it as its base.
   Status SaveBinary(const std::string& path, const Vocabulary* vocab = nullptr,
@@ -104,7 +104,7 @@ class CpdModel {
   static StatusOr<CpdModel> LoadBinary(const std::string& path);
 
   /// Conversions to/from the artifact struct (used by the file APIs above
-  /// and by ProfileIndex to ingest a model without re-encoding).
+  /// and by ProfileIndex::FromModel, which encodes it into a v3 image).
   ModelArtifact ToArtifact() const;
   static StatusOr<CpdModel> FromArtifact(ModelArtifact artifact);
 

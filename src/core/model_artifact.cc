@@ -32,11 +32,6 @@ void AppendRaw(std::string* out, const T& value) {
   out->append(bytes, sizeof(T));
 }
 
-void AppendDoubles(std::string* out, const std::vector<double>& values) {
-  const char* bytes = reinterpret_cast<const char*>(values.data());
-  out->append(bytes, values.size() * sizeof(double));
-}
-
 template <typename T>
 T ReadAt(const char* data, size_t offset) {
   T value;
@@ -275,41 +270,6 @@ std::string EncodeVocabSection(const ModelArtifact& artifact) {
   return out;
 }
 
-StatusOr<std::string> EncodeLegacy(const ModelArtifact& artifact,
-                                   uint32_t version) {
-  if (version == 1 && artifact.has_vocabulary()) {
-    return Status::InvalidArgument(
-        "model artifact: version 1 cannot carry a vocabulary (save v2+ or "
-        "drop it)");
-  }
-  std::string out;
-  out.reserve(sizeof(kModelArtifactMagic) + 64 +
-              (artifact.pi.size() + artifact.theta.size() +
-               artifact.phi.size() + artifact.eta.size() +
-               artifact.weights.size() + artifact.popularity.size()) *
-                  sizeof(double));
-  out.append(kModelArtifactMagic, sizeof(kModelArtifactMagic));
-  AppendRaw(&out, version);
-  AppendRaw(&out, kModelArtifactEndianTag);
-  AppendRaw(&out, artifact.num_communities);
-  AppendRaw(&out, artifact.num_topics);
-  AppendRaw(&out, artifact.num_users);
-  AppendRaw(&out, artifact.vocab_size);
-  AppendRaw(&out, artifact.num_time_bins);
-  AppendRaw(&out, static_cast<uint64_t>(artifact.weights.size()));
-  AppendDoubles(&out, artifact.pi);
-  AppendDoubles(&out, artifact.theta);
-  AppendDoubles(&out, artifact.phi);
-  AppendDoubles(&out, artifact.eta);
-  AppendDoubles(&out, artifact.weights);
-  AppendDoubles(&out, artifact.popularity);
-  if (version >= 2) {
-    // v2 vocabulary section (count 0 when none is bundled).
-    out.append(EncodeVocabSection(artifact));
-  }
-  return out;
-}
-
 StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
                                const ArtifactWriteOptions& options) {
   const uint32_t alignment = options.section_alignment;
@@ -410,15 +370,6 @@ StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
 StatusOr<std::string> EncodeModelArtifact(const ModelArtifact& artifact,
                                           const ArtifactWriteOptions& options) {
   CPD_RETURN_IF_ERROR(artifact.Validate());
-  if (options.version < kModelArtifactMinVersion ||
-      options.version > kModelArtifactVersion) {
-    return Status::InvalidArgument(
-        StrFormat("model artifact: cannot write version %u (writer "
-                  "understands versions %u..%u)",
-                  options.version, kModelArtifactMinVersion,
-                  kModelArtifactVersion));
-  }
-  if (options.version < 3) return EncodeLegacy(artifact, options.version);
   return EncodeV3(artifact, options);
 }
 
@@ -739,9 +690,8 @@ StatusOr<ModelArtifact> DecodeV3(const std::string& bytes) {
   copy_doubles(ArtifactSection::kEta, &artifact.eta);
   copy_doubles(ArtifactSection::kWeights, &artifact.weights);
   copy_doubles(ArtifactSection::kPopularity, &artifact.popularity);
-  // The derived sections (eta_agg, top-k, postings) are intentionally not
-  // surfaced: the heap path rebuilds them from the estimates, which is the
-  // reference the stored ones are differentially tested against.
+  // The derived sections (eta_agg, top-k, postings) are not surfaced: they
+  // are a pure function of the estimates, and the encoder rebuilds them.
   if (layout.vocab_count != 0) {
     const auto& vocab =
         layout.sections[static_cast<uint32_t>(ArtifactSection::kVocab)];
@@ -934,20 +884,48 @@ StatusOr<std::shared_ptr<const MappedModelArtifact>> MappedModelArtifact::Open(
   if (base == MAP_FAILED) {
     return Status::IOError("mmap failed for model artifact: " + path);
   }
-  const char* data = static_cast<const char*>(base);
-  const auto fail = [&](Status status) {
-    ::munmap(base, size);
-    return Status(status.code(), status.message() + ": " + path);
+  auto mapped = std::shared_ptr<MappedModelArtifact>(new MappedModelArtifact());
+  mapped->path_ = path;
+  mapped->data_ = static_cast<const char*>(base);
+  mapped->size_ = size;
+  // On failure the shared_ptr destructor unmaps.
+  CPD_RETURN_IF_ERROR(mapped->Parse());
+  return std::shared_ptr<const MappedModelArtifact>(std::move(mapped));
+}
+
+StatusOr<std::shared_ptr<const MappedModelArtifact>>
+MappedModelArtifact::FromBytes(std::string_view bytes,
+                               const std::string& path) {
+  auto image = std::shared_ptr<MappedModelArtifact>(new MappedModelArtifact());
+  image->path_ = path;
+  // Whole u64 words, so every section offset (a multiple of an alignment
+  // >= 8) lands 8-byte-aligned, as in a page-aligned mapping. At least one
+  // word, so even an empty input is an owned (non-mapped) image.
+  image->owned_.resize(std::max<size_t>(
+      1, (bytes.size() + sizeof(uint64_t) - 1) / sizeof(uint64_t)));
+  std::memcpy(image->owned_.data(), bytes.data(), bytes.size());
+  image->data_ = reinterpret_cast<const char*>(image->owned_.data());
+  image->size_ = bytes.size();
+  CPD_RETURN_IF_ERROR(image->Parse());
+  return std::shared_ptr<const MappedModelArtifact>(std::move(image));
+}
+
+Status MappedModelArtifact::Parse() {
+  const auto fail = [this](Status status) {
+    return path_.empty()
+               ? status
+               : Status(status.code(), status.message() + ": " + path_);
   };
-  if (std::memcmp(data, kModelArtifactMagic, sizeof(kModelArtifactMagic)) !=
-      0) {
+  if (size_ < sizeof(kModelArtifactMagic) ||
+      std::memcmp(data_, kModelArtifactMagic, sizeof(kModelArtifactMagic)) !=
+          0) {
     return fail(Status::InvalidArgument("not a CPD binary model artifact"));
   }
-  if (size < 16) {
+  if (size_ < 16) {
     return fail(Status::OutOfRange("model artifact: truncated header"));
   }
-  const uint32_t version = ReadAt<uint32_t>(data, 8);
-  const uint32_t endian_tag = ReadAt<uint32_t>(data, 12);
+  const uint32_t version = ReadAt<uint32_t>(data_, 8);
+  const uint32_t endian_tag = ReadAt<uint32_t>(data_, 12);
   if (version < kModelArtifactMinVersion ||
       version > kModelArtifactVersion) {
     return fail(Status::Unimplemented(
@@ -962,25 +940,18 @@ StatusOr<std::shared_ptr<const MappedModelArtifact>> MappedModelArtifact::Open(
   }
   if (version < 3) {
     return fail(Status::FailedPrecondition(StrFormat(
-        "model artifact: version %u has no mmap layout; load it on the heap "
-        "(load_mode=heap) or re-save it as v3",
+        "model artifact: version %u has no mmap layout; LoadModelBundle "
+        "up-converts it to a v3 image",
         version)));
   }
-  auto mapped = std::shared_ptr<MappedModelArtifact>(new MappedModelArtifact());
-  mapped->path_ = path;
-  mapped->data_ = data;
-  mapped->size_ = size;
-  const Status parsed = ParseV3Layout(data, size, &mapped->layout_);
-  if (!parsed.ok()) {
-    // The shared_ptr destructor unmaps.
-    return Status(parsed.code(), parsed.message() + ": " + path);
-  }
-  mapped->vocab_count_ = mapped->layout_.vocab_count;
-  return std::shared_ptr<const MappedModelArtifact>(std::move(mapped));
+  const Status parsed = ParseV3Layout(data_, size_, &layout_);
+  if (!parsed.ok()) return fail(parsed);
+  vocab_count_ = layout_.vocab_count;
+  return Status::OK();
 }
 
 MappedModelArtifact::~MappedModelArtifact() {
-  if (data_ != nullptr) {
+  if (data_ != nullptr && owned_.empty()) {
     ::munmap(const_cast<char*>(data_), size_);
   }
 }

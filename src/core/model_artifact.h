@@ -4,10 +4,10 @@
 /// \file model_artifact.h
 /// The versioned binary model artifact (".cpdb"): the serving-grade
 /// counterpart of CpdModel's readable text format. Three wire versions are
-/// understood; all share the 8-byte magic, a little-endian u32 version, and
-/// the endianness tag 0x01020304.
+/// read; all share the 8-byte magic, a little-endian u32 version, and the
+/// endianness tag 0x01020304. Only v3 is written.
 ///
-/// v1/v2 — the sequential heap format:
+/// v1/v2 — the legacy sequential format (read-only):
 ///
 ///   magic "CPDBMODL" | u32 version | u32 endian tag 0x01020304 |
 ///   i32 |C| | i32 |Z| | u64 |U| | u64 |W| | i32 T | u64 #weights |
@@ -42,13 +42,15 @@
 /// misaligned, overlapping, or out-of-bounds section with typed Status
 /// errors that name the offending section. Both CpdModel::{Save,Load}Binary
 /// and ProfileIndex/LoadModelBundle speak this format through the functions
-/// here; MappedModelArtifact is the zero-copy mmap reader.
+/// here; MappedModelArtifact is the validated v3 image every serving index
+/// is built over.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -122,18 +124,18 @@ struct ModelArtifact {
 };
 
 /// Encoder knobs. The defaults produce the canonical serving artifact.
+/// Writers emit only v3; v1/v2 files are still read (and up-converted to a
+/// v3 image when served).
 struct ArtifactWriteOptions {
-  /// Wire version to emit (kModelArtifactMinVersion..kModelArtifactVersion).
-  uint32_t version = kModelArtifactVersion;
-  /// k of the stored top-k membership/posting sections (v3 only; the
-  /// paper's top-5 convention matches ProfileIndexOptions' default). 0
-  /// omits the membership sections (eta_agg is always stored).
+  /// k of the stored top-k membership/posting sections (the paper's top-5
+  /// convention matches ProfileIndexOptions' default). 0 omits the
+  /// membership sections (eta_agg is always stored).
   uint32_t derived_top_k = 5;
-  /// v3 section alignment in bytes (power of two >= 8; 4096 = page size).
+  /// Section alignment in bytes (power of two >= 8; 4096 = page size).
   uint32_t section_alignment = 4096;
 };
 
-/// Serializes the artifact into a byte string (version per options).
+/// Serializes the artifact into v3 bytes.
 StatusOr<std::string> EncodeModelArtifact(
     const ModelArtifact& artifact, const ArtifactWriteOptions& options = {});
 
@@ -187,13 +189,17 @@ struct ArtifactV3Layout {
 /// here with section-named typed errors.
 Status ParseV3Layout(const char* data, size_t size, ArtifactV3Layout* layout);
 
-/// A v3 artifact mapped read-only into the address space: the zero-copy
-/// counterpart of DecodeModelArtifact. Open() validates the whole layout
-/// up front (same checks as the heap decoder), then the accessors are raw
-/// spans into the mapping — no rows are copied, the kernel pages the file
-/// in on demand and N concurrent generations share clean pages. Immutable
-/// and safe to share across threads; the mapping lives until the last
-/// shared_ptr drops.
+/// A validated v3 byte image: the zero-copy counterpart of
+/// DecodeModelArtifact. The image has one of two backings:
+///   - Open() maps a v3 file read-only — no rows are copied, the kernel
+///     pages the file in on demand and N concurrent generations share
+///     clean pages;
+///   - FromBytes() copies encoded v3 bytes into an owned, 8-byte-aligned
+///     heap buffer (in-memory encodes, up-converted v1/v2/text models).
+/// Both validate the whole layout up front with ParseV3Layout (the same
+/// checks as the heap decoder), then the accessors are raw spans into the
+/// image. Immutable and safe to share across threads; the image lives
+/// until the last shared_ptr drops.
 class MappedModelArtifact {
  public:
   /// mmaps and validates `path`. InvalidArgument when the file is not a
@@ -201,6 +207,12 @@ class MappedModelArtifact {
   /// has no mmap layout; otherwise the ParseV3Layout taxonomy.
   static StatusOr<std::shared_ptr<const MappedModelArtifact>> Open(
       const std::string& path);
+
+  /// Copies `bytes` into an owned heap image and validates it exactly as
+  /// Open() validates a file. `path` only labels the image (path() and
+  /// error messages); "" for images that never lived in a file.
+  static StatusOr<std::shared_ptr<const MappedModelArtifact>> FromBytes(
+      std::string_view bytes, const std::string& path = "");
 
   ~MappedModelArtifact();
   MappedModelArtifact(const MappedModelArtifact&) = delete;
@@ -258,6 +270,8 @@ class MappedModelArtifact {
 
   const std::string& path() const { return path_; }
   size_t mapped_bytes() const { return size_; }
+  /// True for an Open() file mapping, false for a FromBytes() heap image.
+  bool is_file_mapped() const { return owned_.empty(); }
 
  private:
   MappedModelArtifact() = default;
@@ -273,11 +287,15 @@ class MappedModelArtifact {
             static_cast<size_t>(SectionLength(id) / sizeof(double))};
   }
 
+  /// Validates data_[0..size_) (magic, version, byte order, v3 layout).
+  Status Parse();
+
   std::string path_;
-  const char* data_ = nullptr;  ///< mmap base (page-aligned).
+  const char* data_ = nullptr;  ///< Image base: the mapping or owned_.
   size_t size_ = 0;
+  std::vector<uint64_t> owned_;  ///< Heap image (empty = file mapping).
   ArtifactV3Layout layout_;
-  uint64_t vocab_count_ = 0;  ///< Parsed once at Open (0 = none bundled).
+  uint64_t vocab_count_ = 0;  ///< Parsed once at load (0 = none bundled).
 };
 
 }  // namespace cpd

@@ -10,7 +10,7 @@
 /// and advances it one batch at a time; the caller pushes each produced
 /// artifact through the registry for a zero-downtime swap.
 ///
-///   cold train (cpd_train) ──► artifact v2 ──► ModelRegistry (serving)
+///   cold train (cpd_train) ──► artifact v3 ──► ModelRegistry (serving)
 ///            │                                     ▲
 ///            ▼                                     │ LoadFrom(fresh)
 ///   IngestPipeline::Create ◄── UpdateBatch ──► Ingest(): ApplyUpdate
@@ -120,7 +120,7 @@ class IngestPipeline {
       IngestOptions options);
 
   /// Applies one batch: merged graph, warm-started sweeps over the touched
-  /// shards, artifact written to `artifact_path` (v2, vocabulary bundled).
+  /// shards, artifact written to `artifact_path` (v3, vocabulary bundled).
   /// On success the pipeline's live state advances; on failure it is
   /// untouched (apply-then-commit). Serialized: concurrent calls queue.
   StatusOr<IngestResult> Ingest(const UpdateBatch& batch,

@@ -12,76 +12,69 @@
 
 namespace cpd::serve {
 
-StatusOr<ArtifactLoadMode> ParseArtifactLoadMode(const std::string& text) {
-  if (text == "auto") return ArtifactLoadMode::kAuto;
-  if (text == "heap") return ArtifactLoadMode::kHeap;
-  if (text == "mmap") return ArtifactLoadMode::kMmap;
-  return Status::InvalidArgument("load_mode must be auto|heap|mmap, got '" +
-                                 text + "'");
+namespace {
+
+/// Encodes `artifact` into an owned v3 image whose stored derived sections
+/// match `options`, so FromMapped adopts them instead of rebuilding. The
+/// sections are packed at 8 bytes: page alignment only pays for mmap.
+StatusOr<std::shared_ptr<const MappedModelArtifact>> EncodeImage(
+    const ModelArtifact& artifact, const ProfileIndexOptions& options,
+    const std::string& path) {
+  ArtifactWriteOptions write;
+  write.derived_top_k =
+      options.build_membership_index
+          ? static_cast<uint32_t>(std::max(options.membership_top_k, 0))
+          : 0;
+  write.section_alignment = 8;
+  auto bytes = EncodeModelArtifact(artifact, write);
+  if (!bytes.ok()) return bytes.status();
+  return MappedModelArtifact::FromBytes(*bytes, path);
 }
 
-const char* ArtifactLoadModeName(ArtifactLoadMode mode) {
-  switch (mode) {
-    case ArtifactLoadMode::kAuto:
-      return "auto";
-    case ArtifactLoadMode::kHeap:
-      return "heap";
-    case ArtifactLoadMode::kMmap:
-      return "mmap";
+/// Maps a v3 file; up-converts a v1/v2 artifact or a text model to an owned
+/// v3 image. A file that is neither surfaces the legacy decoder's (or the
+/// text loader's) typed error, so a corrupt v3 file reports what it always
+/// has.
+StatusOr<std::shared_ptr<const MappedModelArtifact>> OpenImage(
+    const std::string& path, const ProfileIndexOptions& options) {
+  auto mapped = MappedModelArtifact::Open(path);
+  if (mapped.ok()) return mapped;
+  auto contents = ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  if (LooksLikeModelArtifact(*contents)) {
+    auto artifact = DecodeModelArtifact(*contents);
+    if (!artifact.ok()) {
+      return Status(artifact.status().code(),
+                    artifact.status().message() + ": " + path);
+    }
+    return EncodeImage(*artifact, options, path);
   }
-  return "auto";
+  auto model = CpdModel::LoadFromFile(path);
+  if (!model.ok()) return model.status();
+  return EncodeImage(model->ToArtifact(), options, path);
 }
+
+}  // namespace
 
 ProfileIndex ProfileIndex::FromModel(const CpdModel& model,
                                      const ProfileIndexOptions& options) {
-  // Reuse the artifact struct as the common ingestion path so the from-model
-  // and from-file constructions cannot diverge.
   ProfileIndexOptions resolved = options;
   resolved.heterogeneous_links =
       options.heterogeneous_links &&
       model.config().ablation.heterogeneous_links;
-  auto index = FromArtifact(model.ToArtifact(), resolved);
-  // A trained model always yields a valid artifact.
+  // A trained model always yields a valid image.
+  auto image = EncodeImage(model.ToArtifact(), resolved, "");
+  CPD_CHECK(image.ok());
+  auto index = FromMapped(std::move(*image), resolved);
   CPD_CHECK(index.ok());
   return std::move(*index);
-}
-
-StatusOr<ProfileIndex> ProfileIndex::FromArtifact(
-    ModelArtifact artifact, const ProfileIndexOptions& options) {
-  CPD_RETURN_IF_ERROR(artifact.Validate());
-  if (options.membership_top_k < 1) {
-    return Status::InvalidArgument("membership_top_k < 1");
-  }
-  ProfileIndex index;
-  index.options_ = options;
-  index.num_communities_ = artifact.num_communities;
-  index.num_topics_ = artifact.num_topics;
-  index.num_users_ = artifact.num_users;
-  index.vocab_size_ = artifact.vocab_size;
-  index.num_time_bins_ = artifact.num_time_bins;
-  index.generation_ = artifact.generation;
-  index.pi_store_ = std::move(artifact.pi);
-  index.theta_store_ = std::move(artifact.theta);
-  index.phi_store_ = std::move(artifact.phi);
-  index.eta_store_ = std::move(artifact.eta);
-  index.weights_store_ = std::move(artifact.weights);
-  index.popularity_store_ = std::move(artifact.popularity);
-  index.BuildPiRows(index.pi_store_.data());
-  index.theta_ = index.theta_store_;
-  index.phi_ = index.phi_store_;
-  index.eta_ = index.eta_store_;
-  index.weights_ = index.weights_store_;
-  index.popularity_ = index.popularity_store_;
-  index.RebuildDerived();
-  index.BuildScoringTables();
-  return index;
 }
 
 StatusOr<ProfileIndex> ProfileIndex::FromMapped(
     std::shared_ptr<const MappedModelArtifact> mapped,
     const ProfileIndexOptions& options) {
   if (mapped == nullptr) {
-    return Status::InvalidArgument("FromMapped: null mapping");
+    return Status::InvalidArgument("FromMapped: null image");
   }
   if (options.membership_top_k < 1) {
     return Status::InvalidArgument("membership_top_k < 1");
@@ -109,8 +102,8 @@ StatusOr<ProfileIndex> ProfileIndex::FromMapped(
     index.member_offsets_ = index.member_offsets_store_;
   } else if (mapped->stored_top_k() == wanted_k) {
     // Adopt the stored membership/posting sections: zero build cost. The
-    // encoder produced them with the same BuildArtifactDerived the heap
-    // path runs, so adopted and rebuilt structures are bit-identical.
+    // encoder produced them with the same BuildArtifactDerived the rebuild
+    // below runs, so adopted and rebuilt structures are bit-identical.
     index.top_k_per_user_ = wanted_k;
     index.MaterializeTopMemberships(mapped->topk_communities(),
                                     mapped->topk_weights());
@@ -126,82 +119,78 @@ StatusOr<ProfileIndex> ProfileIndex::FromMapped(
     index.AdoptDerived(std::move(derived));
   }
   index.BuildScoringTables();
-  index.mapped_ = std::move(mapped);
+  index.image_ = std::move(mapped);
   return index;
 }
 
 StatusOr<ProfileIndex> ProfileIndex::FromMappedWithDelta(
     std::shared_ptr<const MappedModelArtifact> mapped,
-    const ModelDelta& delta, const ProfileIndexOptions& options) {
-  if (mapped == nullptr) {
-    return Status::InvalidArgument("FromMappedWithDelta: null mapping");
+    std::shared_ptr<const ModelDelta> delta,
+    const ProfileIndexOptions& options) {
+  if (mapped == nullptr || delta == nullptr) {
+    return Status::InvalidArgument("FromMappedWithDelta: null image or delta");
   }
   if (options.membership_top_k < 1) {
     return Status::InvalidArgument("membership_top_k < 1");
   }
-  CPD_RETURN_IF_ERROR(delta.Validate());
-  if (mapped->generation() != delta.base_generation) {
+  CPD_RETURN_IF_ERROR(delta->Validate());
+  if (mapped->generation() != delta->base_generation) {
     return Status::FailedPrecondition(StrFormat(
         "model delta: patches generation %llu but the mapped artifact is "
         "generation %llu",
-        static_cast<unsigned long long>(delta.base_generation),
+        static_cast<unsigned long long>(delta->base_generation),
         static_cast<unsigned long long>(mapped->generation())));
   }
-  if (mapped->num_communities() != delta.num_communities ||
-      mapped->num_topics() != delta.num_topics ||
-      mapped->num_time_bins() != delta.num_time_bins) {
+  if (mapped->num_communities() != delta->num_communities ||
+      mapped->num_topics() != delta->num_topics ||
+      mapped->num_time_bins() != delta->num_time_bins) {
     return Status::InvalidArgument(
         "model delta: base artifact disagrees on |C|/|Z|/T");
   }
-  if (mapped->num_users() != delta.base_num_users ||
-      mapped->vocab_size() != delta.base_vocab_size) {
+  if (mapped->num_users() != delta->base_num_users ||
+      mapped->vocab_size() != delta->base_vocab_size) {
     return Status::InvalidArgument(StrFormat(
         "model delta: expects a base with |U|=%llu |W|=%llu, got |U|=%llu "
         "|W|=%llu",
-        static_cast<unsigned long long>(delta.base_num_users),
-        static_cast<unsigned long long>(delta.base_vocab_size),
+        static_cast<unsigned long long>(delta->base_num_users),
+        static_cast<unsigned long long>(delta->base_vocab_size),
         static_cast<unsigned long long>(mapped->num_users()),
         static_cast<unsigned long long>(mapped->vocab_size())));
   }
   ProfileIndex index;
   index.options_ = options;
-  index.num_communities_ = delta.num_communities;
-  index.num_topics_ = delta.num_topics;
-  index.num_users_ = static_cast<size_t>(delta.num_users);
-  index.vocab_size_ = static_cast<size_t>(delta.vocab_size);
-  index.num_time_bins_ = delta.num_time_bins;
-  index.generation_ = delta.generation;
-  // Copy-on-write pi: every untouched row keeps aliasing the shared
-  // mapping; only the delta's packed rows occupy new heap. Users new in
-  // this generation have no base row — delta.Validate() guarantees each
-  // is touched, so every slot gets a pointer below.
-  index.delta_pi_store_ = delta.touched_pi;
+  index.num_communities_ = delta->num_communities;
+  index.num_topics_ = delta->num_topics;
+  index.num_users_ = static_cast<size_t>(delta->num_users);
+  index.vocab_size_ = static_cast<size_t>(delta->vocab_size);
+  index.num_time_bins_ = delta->num_time_bins;
+  index.generation_ = delta->generation;
+  // Copy-on-write pi: every untouched row keeps aliasing the shared image;
+  // touched rows point into the delta's packed rows. Users new in this
+  // generation have no base row — delta->Validate() guarantees each is
+  // touched, so every slot gets a pointer below.
   index.pi_rows_.assign(index.num_users_, nullptr);
   const double* base_pi = mapped->pi().data();
-  for (size_t u = 0; u < static_cast<size_t>(delta.base_num_users); ++u) {
+  for (size_t u = 0; u < static_cast<size_t>(delta->base_num_users); ++u) {
     index.pi_rows_[u] = base_pi + u * index.kc();
   }
-  for (size_t i = 0; i < delta.touched_users.size(); ++i) {
-    index.pi_rows_[static_cast<size_t>(delta.touched_users[i])] =
-        index.delta_pi_store_.data() + i * index.kc();
+  for (size_t i = 0; i < delta->touched_users.size(); ++i) {
+    index.pi_rows_[static_cast<size_t>(delta->touched_users[i])] =
+        delta->touched_pi.data() + i * index.kc();
   }
   // The globals are O(|C||Z| + |Z||W|) and fully refreshed every sweep, so
-  // the delta ships them whole; adopt copies.
-  index.theta_store_ = delta.theta;
-  index.phi_store_ = delta.phi;
-  index.eta_store_ = delta.eta;
-  index.weights_store_ = delta.weights;
-  index.popularity_store_ = delta.popularity;
-  index.theta_ = index.theta_store_;
-  index.phi_ = index.phi_store_;
-  index.eta_ = index.eta_store_;
-  index.weights_ = index.weights_store_;
-  index.popularity_ = index.popularity_store_;
+  // the delta ships them whole; serve them from it.
+  index.theta_ = delta->theta;
+  index.phi_ = delta->phi;
+  index.eta_ = delta->eta;
+  index.weights_ = delta->weights;
+  index.popularity_ = delta->popularity;
   // eta and pi both changed, so the stored derived sections describe the
   // base generation — rebuild over the overlay.
   index.RebuildDerived();
   index.BuildScoringTables();
-  index.mapped_ = std::move(mapped);
+  index.image_ = std::move(mapped);
+  index.delta_ = std::move(delta);
   return index;
 }
 
@@ -214,52 +203,17 @@ StatusOr<ProfileIndex> ProfileIndex::LoadFromFile(
 
 StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
                                       const ProfileIndexOptions& options) {
-  if (options.load_mode != ArtifactLoadMode::kHeap) {
-    auto mapped = MappedModelArtifact::Open(path);
-    if (mapped.ok()) {
-      std::shared_ptr<const Vocabulary> vocabulary;
-      if ((*mapped)->has_vocabulary()) {
-        auto vocab = std::make_shared<Vocabulary>();
-        CPD_RETURN_IF_ERROR((*mapped)->BuildVocabulary(vocab.get()));
-        vocabulary = std::move(vocab);
-      }
-      auto index = ProfileIndex::FromMapped(std::move(*mapped), options);
-      if (!index.ok()) return index.status();
-      return ModelBundle{std::move(*index), std::move(vocabulary)};
-    }
-    if (options.load_mode == ArtifactLoadMode::kMmap) {
-      return mapped.status();
-    }
-    // kAuto: any mmap failure (v1/v2 artifact, text model, corrupt or
-    // missing file) falls through to the reference heap loader, which
-    // loads the legacy formats and re-derives the same typed error for a
-    // genuinely bad file — so kAuto surfaces exactly the errors the heap
-    // path always has.
+  auto image = OpenImage(path, options);
+  if (!image.ok()) return image.status();
+  std::shared_ptr<const Vocabulary> vocabulary;
+  if ((*image)->has_vocabulary()) {
+    auto vocab = std::make_shared<Vocabulary>();
+    CPD_RETURN_IF_ERROR((*image)->BuildVocabulary(vocab.get()));
+    vocabulary = std::move(vocab);
   }
-  auto contents = ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  if (LooksLikeModelArtifact(*contents)) {
-    auto artifact = DecodeModelArtifact(*contents);
-    if (!artifact.ok()) {
-      return Status(artifact.status().code(),
-                    artifact.status().message() + ": " + path);
-    }
-    std::shared_ptr<const Vocabulary> vocabulary;
-    if (artifact->has_vocabulary()) {
-      // Extract before FromArtifact moves the matrices out.
-      auto vocab = std::make_shared<Vocabulary>();
-      CPD_RETURN_IF_ERROR(artifact->BuildVocabulary(vocab.get()));
-      vocabulary = std::move(vocab);
-    }
-    auto index = ProfileIndex::FromArtifact(std::move(*artifact), options);
-    if (!index.ok()) return index.status();
-    return ModelBundle{std::move(*index), std::move(vocabulary)};
-  }
-  auto model = CpdModel::LoadFromFile(path);
-  if (!model.ok()) return model.status();
-  auto index = ProfileIndex::FromArtifact(model->ToArtifact(), options);
+  auto index = ProfileIndex::FromMapped(std::move(*image), options);
   if (!index.ok()) return index.status();
-  return ModelBundle{std::move(*index), nullptr};
+  return ModelBundle{std::move(*index), std::move(vocabulary)};
 }
 
 void ProfileIndex::BuildPiRows(const double* pi) {

@@ -12,16 +12,15 @@
 ///   - per-community member postings (users assigned by top-k membership,
 ///     sorted by descending membership weight),
 ///   - the topic-aggregated diffusion matrix sum_z eta_{c,c',z}.
-/// Three construction paths produce bit-identical query answers for the
-/// same trained estimates:
-///   - FromModel / FromArtifact copy the matrices onto the heap (the
-///     reference path; works for every artifact version and text models);
-///   - FromMapped serves the spans straight out of an mmap'd v3 artifact —
-///     zero rows copied, the kernel pages the file in on demand, reload is
-///     O(1) in the model size, and N live generations share clean pages;
-///   - FromMappedWithDelta overlays a .cpdd delta copy-on-write over a
-///     mapped base: touched pi rows live on the heap, untouched rows keep
-///     pointing into the shared mapping.
+/// Every index serves spans over one validated v3 image
+/// (MappedModelArtifact), backed either by an mmap'd .cpdb file — zero
+/// rows copied, the kernel pages the file in on demand, reload is O(1) in
+/// the model size, and N live generations share clean pages — or by an
+/// owned heap buffer (FromModel, and v1/v2/text files up-converted at
+/// load). FromMapped is the one base constructor; FromMappedWithDelta
+/// overlays a .cpdd delta copy-on-write: touched pi rows and the refreshed
+/// globals are read out of the delta, untouched rows keep pointing into the
+/// shared image.
 
 #include <cstdint>
 #include <memory>
@@ -41,25 +40,6 @@ struct ArtifactDerived;
 
 namespace serve {
 
-/// How LoadModelBundle materializes a binary artifact.
-enum class ArtifactLoadMode {
-  /// mmap when the file is a v3 artifact, heap otherwise (v1/v2/text).
-  kAuto,
-  /// Always copy onto the heap — the reference path. Use when the artifact
-  /// lives on storage too slow to page from (network FS), or to pin
-  /// behavior while debugging.
-  kHeap,
-  /// Require zero-copy mmap; loading a v1/v2 artifact or a text model
-  /// fails with FailedPrecondition instead of silently copying.
-  kMmap,
-};
-
-/// "auto" | "heap" | "mmap" (the --load_mode flag spelling); InvalidArgument
-/// otherwise.
-StatusOr<ArtifactLoadMode> ParseArtifactLoadMode(const std::string& text);
-/// The inverse spelling, for logs and benchmark records.
-const char* ArtifactLoadModeName(ArtifactLoadMode mode);
-
 struct ProfileIndexOptions {
   /// k of the per-user top-k membership lists and community postings. The
   /// paper assigns users to their top-5 communities for ranking and
@@ -70,18 +50,15 @@ struct ProfileIndexOptions {
   /// (O(U·|C| log k) + a weight sort). Serving front ends want this;
   /// adapters that only score (ranking, diffusion, attribute aggregation)
   /// skip it — Membership/TopUsers queries then fail with
-  /// FailedPrecondition instead of paying the build. An mmap load adopts
-  /// the artifact's stored postings when its derived_top_k matches, making
-  /// this free.
+  /// FailedPrecondition instead of paying the build. A load adopts the
+  /// image's stored postings when its derived_top_k matches, making this
+  /// free.
   bool build_membership_index = true;
 
   /// Mirrors CpdConfig::ablation.heterogeneous_links for diffusion queries;
   /// artifacts do not carry the training config, so loaders default to the
   /// full model.
   bool heterogeneous_links = true;
-
-  /// How LoadModelBundle / LoadFromFile materialize binary artifacts.
-  ArtifactLoadMode load_mode = ArtifactLoadMode::kAuto;
 };
 
 /// One (community, weight) membership entry of a user's top-k list.
@@ -92,44 +69,40 @@ struct TopMembership {
 
 class ProfileIndex {
  public:
-  /// Copies the model's estimates and precomputes the read-side structures.
+  /// Encodes the model's estimates into an owned v3 image (stored derived
+  /// sections sized to the options, so they are adopted) and serves it.
   static ProfileIndex FromModel(const CpdModel& model,
                                 const ProfileIndexOptions& options = {});
 
-  /// Ingests a decoded artifact (moves the matrices; no re-encode). The
-  /// heap reference path: stored derived sections of a v3 artifact are
-  /// ignored and rebuilt from the estimates.
-  static StatusOr<ProfileIndex> FromArtifact(ModelArtifact artifact,
-                                             const ProfileIndexOptions& options = {});
-
-  /// Serves straight off a mapped v3 artifact: every matrix accessor is a
-  /// span into the page cache. Adopts the artifact's stored derived
-  /// sections when min(stored k, |C|) == min(options.membership_top_k,
-  /// |C|), else rebuilds them on the heap (the estimates stay zero-copy
-  /// either way). The index holds a reference on the mapping.
+  /// Serves straight off a v3 image: every matrix accessor is a span into
+  /// it. Adopts the image's stored derived sections when min(stored k, |C|)
+  /// == min(options.membership_top_k, |C|), else rebuilds them on the heap
+  /// (the estimates stay zero-copy either way). The index holds a
+  /// reference on the image.
   static StatusOr<ProfileIndex> FromMapped(
       std::shared_ptr<const MappedModelArtifact> mapped,
       const ProfileIndexOptions& options = {});
 
-  /// Copy-on-write overlay of a .cpdd delta over a mapped base: the
-  /// delta's touched pi rows (and the full refreshed globals) live on the
-  /// heap, every untouched pi row keeps pointing into the shared mapping.
-  /// FailedPrecondition when mapped->generation() !=
-  /// delta.base_generation.
+  /// Copy-on-write overlay of a .cpdd delta over a base image: the delta's
+  /// touched pi rows and its full refreshed globals are served out of the
+  /// delta (the index holds a reference on it), every untouched pi row
+  /// keeps pointing into the shared image. FailedPrecondition when
+  /// mapped->generation() != delta->base_generation.
   static StatusOr<ProfileIndex> FromMappedWithDelta(
       std::shared_ptr<const MappedModelArtifact> mapped,
-      const ModelDelta& delta, const ProfileIndexOptions& options = {});
+      std::shared_ptr<const ModelDelta> delta,
+      const ProfileIndexOptions& options = {});
 
-  /// Loads a model file: the binary ".cpdb" artifact directly (mapped or
-  /// copied per options.load_mode), or — for back-compat — the readable
-  /// text format via CpdModel::LoadFromFile (sniffed by magic).
+  /// Loads a model file: a v3 ".cpdb" is mapped; a v1/v2 artifact or —
+  /// for back-compat — the readable text format (sniffed by magic) is
+  /// up-converted to an owned v3 image.
   static StatusOr<ProfileIndex> LoadFromFile(const std::string& path,
                                              const ProfileIndexOptions& options = {});
 
   ProfileIndex(ProfileIndex&&) = default;
   ProfileIndex& operator=(ProfileIndex&&) = default;
-  // The span members alias the owned stores (or the mapping), so a copy
-  // would dangle into its source; the index is shared, not copied.
+  // Span members may alias the owned derived stores, so a copy would
+  // dangle into its source; the index is shared, not copied.
   ProfileIndex(const ProfileIndex&) = delete;
   ProfileIndex& operator=(const ProfileIndex&) = delete;
 
@@ -146,12 +119,13 @@ class ProfileIndex {
   /// models, and cold trains); a delta reload must name this generation.
   uint64_t artifact_generation() const { return generation_; }
 
-  /// Non-null when the index serves off an mmap'd artifact (possibly with
-  /// a delta overlay); the registry patches deltas through this.
-  const std::shared_ptr<const MappedModelArtifact>& mapped_artifact() const {
-    return mapped_;
+  /// The v3 image the index serves (the base, under a delta overlay); the
+  /// registry patches deltas over it.
+  const std::shared_ptr<const MappedModelArtifact>& image() const {
+    return image_;
   }
-  bool is_mmap_backed() const { return mapped_ != nullptr; }
+  /// True when that image is a file mapping rather than a heap buffer.
+  bool is_mmap_backed() const { return image_->is_file_mapped(); }
 
   // ----- row views (valid for the life of the index) -----
   /// pi_u over communities.
@@ -188,7 +162,7 @@ class ProfileIndex {
   double TopicPopularity(int32_t t, int z) const;
 
   // ----- query-invariant scoring tables -----
-  // Built at index time in every load mode and always heap-owned (never
+  // Built at index time for every index and always heap-owned (never
   // stored in the artifact). Memory cost: (|C| + |V| + |C|^2) * |Z|
   // doubles on top of the estimates (the G tensor is exactly eta-sized).
 
@@ -282,23 +256,13 @@ class ProfileIndex {
   int32_t num_time_bins_ = 1;
   uint64_t generation_ = 0;
 
-  /// Keepalive for every span that aliases the mapping (null = pure heap).
-  std::shared_ptr<const MappedModelArtifact> mapped_;
+  /// Keepalives for every span: the base image, and under an overlay the
+  /// delta the touched rows and globals are read from.
+  std::shared_ptr<const MappedModelArtifact> image_;
+  std::shared_ptr<const ModelDelta> delta_;
 
-  // Owned backing stores; empty whenever the matching span aliases the
-  // mapping instead. Spans stay valid across moves because vector buffers
-  // are heap-stable.
-  std::vector<double> pi_store_;          // U x C (heap loads)
-  std::vector<double> delta_pi_store_;    // touched rows (delta overlay)
-  std::vector<double> theta_store_;
-  std::vector<double> phi_store_;
-  std::vector<double> eta_store_;
-  std::vector<double> eta_agg_store_;
-  std::vector<double> weights_store_;
-  std::vector<double> popularity_store_;
-
-  /// Row u of pi — into pi_store_, the mapping, or (delta overlay) a mix
-  /// of delta_pi_store_ and the mapping.
+  /// Row u of pi — into the image, or (delta overlay) into the delta's
+  /// touched rows.
   std::vector<const double*> pi_rows_;
   std::span<const double> theta_;       // C x Z
   std::span<const double> phi_;         // Z x W
@@ -317,6 +281,11 @@ class ProfileIndex {
   std::span<const uint64_t> member_offsets_;    // |C| + 1
   std::span<const UserId> members_;             // postings, weight-sorted
   std::span<const double> member_weights_;      // pi_{u,c} per posting entry
+
+  // Derived structures rebuilt on the heap (an overlay, or a stored k that
+  // does not match); empty whenever the spans above alias the image. Spans
+  // stay valid across moves because vector buffers are heap-stable.
+  std::vector<double> eta_agg_store_;
   std::vector<uint64_t> member_offsets_store_;
   std::vector<int32_t> members_store_;
   std::vector<double> member_weights_store_;
@@ -332,10 +301,7 @@ struct ModelBundle {
 };
 
 /// Loads a model file like ProfileIndex::LoadFromFile but also surfaces the
-/// bundled vocabulary when the artifact carries one. options.load_mode
-/// picks the materialization: kAuto maps v3 artifacts and heap-loads
-/// everything else; kMmap makes a non-v3 input a typed error; kHeap always
-/// copies.
+/// bundled vocabulary when the artifact carries one.
 StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
                                       const ProfileIndexOptions& options = {});
 

@@ -923,9 +923,9 @@ HttpResponse HandleIngest(const HttpRequest& http_request,
   const std::shared_ptr<const SocialGraph> previous_graph = registry->graph();
   registry->SetGraph(pipeline->graph());
   // Prefer shipping the delta when the pipeline wrote one and the serving
-  // model is exactly the generation it patches (an mmap-backed model then
-  // swaps copy-on-write instead of rebuilding); anything else — no delta,
-  // lineage drift, a failed patch — falls back to the full artifact.
+  // model is exactly the generation it patches (the swap is then
+  // copy-on-write over the image already served); anything else — no
+  // delta, lineage drift, a failed patch — falls back to the full artifact.
   Status swapped = Status::InvalidArgument("delta not applicable");
   bool via_delta = false;
   if (!result->delta_path.empty()) {

@@ -139,57 +139,39 @@ StatusOr<std::shared_ptr<ServingModel>> ModelRegistry::BuildPatchedModel(
     composed = std::move(*decoded);
   }
 
-  std::shared_ptr<ServingModel> model;
-  const auto& mapped = prev.index.mapped_artifact();
-  if (mapped != nullptr && mapped->generation() == composed.base_generation) {
-    // Copy-on-write over the shared mapping: untouched pi rows stay in the
-    // page cache, only touched rows + the (|U|-independent) globals copy.
-    auto index =
-        serve::ProfileIndex::FromMappedWithDelta(mapped, composed, options_);
-    if (!index.ok()) return index.status();
-    model = std::make_shared<ServingModel>(std::move(*index));
-    if (composed.has_vocabulary()) {
-      Vocabulary base_vocab;
-      CPD_RETURN_IF_ERROR(mapped->BuildVocabulary(&base_vocab));
-      auto vocab = std::make_shared<Vocabulary>();
-      for (size_t w = 0; w < base_vocab.size(); ++w) {
-        vocab->GetOrAdd(base_vocab.WordOf(static_cast<WordId>(w)));
-      }
-      for (const std::string& word : composed.appended_words) {
-        vocab->GetOrAdd(word);
-      }
-      if (vocab->size() != composed.vocab_size) {
-        return Status::InvalidArgument(
-            "model delta: an appended word collides with the base "
-            "vocabulary");
-      }
-      for (size_t w = 0; w < composed.vocab_frequencies.size(); ++w) {
-        vocab->CountOccurrence(static_cast<WordId>(w),
-                               composed.vocab_frequencies[w]);
-      }
-      model->vocabulary = std::move(vocab);
+  // Copy-on-write over the image prev serves (never the file at
+  // source_path, which may have been replaced or deleted since the load):
+  // untouched pi rows stay in the shared image, touched rows and the
+  // (|U|-independent) globals are read out of the composed delta.
+  auto applied = std::make_shared<const ModelDelta>(std::move(composed));
+  const auto& image = prev.index.image();
+  auto index = serve::ProfileIndex::FromMappedWithDelta(image, applied,
+                                                        options_);
+  if (!index.ok()) return index.status();
+  auto model = std::make_shared<ServingModel>(std::move(*index));
+  if (applied->has_vocabulary()) {
+    Vocabulary base_vocab;
+    CPD_RETURN_IF_ERROR(image->BuildVocabulary(&base_vocab));
+    auto vocab = std::make_shared<Vocabulary>();
+    for (size_t w = 0; w < base_vocab.size(); ++w) {
+      vocab->GetOrAdd(base_vocab.WordOf(static_cast<WordId>(w)));
     }
-  } else {
-    // Heap fallback: re-read the base artifact and patch it whole. Reached
-    // when the base was heap-loaded (load_mode=heap, v1/v2, text model).
-    auto base = ReadModelArtifact(prev.source_path);
-    if (!base.ok()) return base.status();
-    auto patched = ApplyModelDelta(*base, composed);
-    if (!patched.ok()) return patched.status();
-    std::shared_ptr<Vocabulary> vocab;
-    if (patched->has_vocabulary()) {
-      vocab = std::make_shared<Vocabulary>();
-      CPD_RETURN_IF_ERROR(patched->BuildVocabulary(vocab.get()));
+    for (const std::string& word : applied->appended_words) {
+      vocab->GetOrAdd(word);
     }
-    auto index =
-        serve::ProfileIndex::FromArtifact(std::move(*patched), options_);
-    if (!index.ok()) return index.status();
-    model = std::make_shared<ServingModel>(std::move(*index));
+    if (vocab->size() != applied->vocab_size) {
+      return Status::InvalidArgument(
+          "model delta: an appended word collides with the base "
+          "vocabulary");
+    }
+    for (size_t w = 0; w < applied->vocab_frequencies.size(); ++w) {
+      vocab->CountOccurrence(static_cast<WordId>(w),
+                             applied->vocab_frequencies[w]);
+    }
     model->vocabulary = std::move(vocab);
   }
   model->delta_path = delta_path;
-  model->applied_delta =
-      std::make_shared<const ModelDelta>(std::move(composed));
+  model->applied_delta = std::move(applied);
   return model;
 }
 
@@ -233,10 +215,8 @@ Status ModelRegistry::LoadDeltaFrom(const std::string& name,
   CPD_LOG(Info) << "serving model '" << name << "' generation "
                 << loaded->generation << " from " << loaded->source_path
                 << " + delta " << delta_path << " ("
-                << StrFormat("%.0f", timer.ElapsedMillis()) << " ms: "
-                << (loaded->index.is_mmap_backed() ? "copy-on-write"
-                                                   : "heap rebuild")
-                << ", touched "
+                << StrFormat("%.0f", timer.ElapsedMillis())
+                << " ms: copy-on-write, touched "
                 << loaded->applied_delta->touched_users.size() << "/"
                 << loaded->index.num_users() << " users, lineage generation "
                 << loaded->index.artifact_generation() << ")";

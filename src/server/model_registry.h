@@ -77,9 +77,9 @@ struct ServingModel {
 
   /// Last ".cpdd" applied by LoadDeltaFrom ("" for full loads).
   std::string delta_path;
-  /// The composed delta chain between the base artifact at source_path and
-  /// this generation's estimates (null for full loads). The next
-  /// LoadDeltaFrom composes onto it, so one mapped base artifact serves an
+  /// The composed delta chain between the base image (loaded from
+  /// source_path) and this generation's estimates (null for full loads).
+  /// The next LoadDeltaFrom composes onto it, so one base image serves an
   /// arbitrarily long delta chain copy-on-write.
   std::shared_ptr<const ModelDelta> applied_delta;
 };
@@ -118,12 +118,11 @@ class ModelRegistry {
 
   /// Patches `name`'s serving model with a ".cpdd" delta artifact. The
   /// delta must name the serving generation's lineage stamp
-  /// (index.artifact_generation()) as its base. When the current model is
-  /// mmap-backed the new generation shares the mapped base — only touched
-  /// pi rows and the refreshed globals are copied — else the base artifact
-  /// is re-read from source_path and patched on the heap. Same
-  /// load-then-swap guarantee as LoadFrom: a failed delta leaves the
-  /// previous model serving.
+  /// (index.artifact_generation()) as its base. The new generation shares
+  /// the image the current one serves — only the composed delta's touched
+  /// pi rows and refreshed globals are new — so the file at source_path is
+  /// never re-read. Same load-then-swap guarantee as LoadFrom: a failed
+  /// delta leaves the previous model serving.
   Status LoadDeltaFrom(const std::string& name, const std::string& delta_path);
   Status LoadDeltaFrom(const std::string& delta_path) {
     return LoadDeltaFrom(kDefaultModel, delta_path);

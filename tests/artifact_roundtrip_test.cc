@@ -4,7 +4,8 @@
 //     vocab/top-k/alignment combination the writer accepts;
 //   - encode(v3) -> mmap -> Materialize -> encode reproduces the original
 //     file bitwise (the SaveBinary -> mmap load -> SaveBinary property);
-//   - legacy v1/v2 encodings round-trip byte-stable too;
+//   - legacy v1/v2 bytes (from the test-only encoder) decode and re-encode
+//     byte-stable too;
 //   - delta application is order-stable: applying a chain one delta at a
 //     time, or as one ComposeModelDeltas merge, lands on bitwise the same
 //     artifact, and composition itself is associative on the wire.
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "core/model_artifact.h"
 #include "core/model_delta.h"
 #include "core/model_state.h"
@@ -188,13 +190,12 @@ TEST(ArtifactRoundtripTest, LegacyVersionsRoundTripByteStable) {
         artifact.vocab_words.clear();
         artifact.vocab_frequencies.clear();
       }
-      ArtifactWriteOptions options;
-      options.version = version;
-      const std::string first = MustEncode(artifact, options);
+      const std::string first =
+          testing::EncodeLegacyArtifact(artifact, version);
       auto decoded = DecodeModelArtifact(first);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_EQ(decoded->has_vocabulary(), version >= 2);
-      EXPECT_EQ(MustEncode(*decoded, options), first)
+      EXPECT_EQ(testing::EncodeLegacyArtifact(*decoded, version), first)
           << "seed=" << seed << " v" << version;
     }
   }

@@ -3,7 +3,10 @@
 // crash, never an over-allocation sized by a forged header, never a silent
 // mis-load. Both decode paths are driven for every corruption: the heap
 // codec (DecodeModelArtifact / DecodeModelDelta) and, for v3, the zero-copy
-// loader (MappedModelArtifact::Open on a real temp file). The corruption
+// loader (MappedModelArtifact::Open on a real temp file). The truncation
+// and header bit-flip corpora also go through serve::LoadModelBundle, the
+// serving loader that up-converts v1/v2 and text models to a v3 image:
+// each case ends in a typed error or a valid index. The corruption
 // taxonomy mirrors dist_wire_test: bad magic / foreign endianness /
 // corrupt header fields are InvalidArgument, a newer version is
 // Unimplemented, truncation and out-of-bounds sections are OutOfRange, and
@@ -17,9 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "artifact_test_util.h"
+#include "core/cpd_model.h"
 #include "core/model_artifact.h"
 #include "core/model_delta.h"
 #include "core/model_state.h"
+#include "serve/profile_index.h"
 #include "util/file_util.h"
 
 namespace cpd {
@@ -100,17 +106,8 @@ ModelArtifact MakeArtifact(bool with_vocab) {
 std::string EncodeV3(const ModelArtifact& artifact, uint32_t top_k = 2,
                      uint32_t alignment = 64) {
   ArtifactWriteOptions options;
-  options.version = 3;
   options.derived_top_k = top_k;
   options.section_alignment = alignment;  // Small => compact torture files.
-  auto bytes = EncodeModelArtifact(artifact, options);
-  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
-  return *bytes;
-}
-
-std::string EncodeLegacy(const ModelArtifact& artifact, uint32_t version) {
-  ArtifactWriteOptions options;
-  options.version = version;
   auto bytes = EncodeModelArtifact(artifact, options);
   EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
   return *bytes;
@@ -143,6 +140,38 @@ class ArtifactTortureTest : public ::testing::Test {
     const Status written = WriteStringToFile(path, bytes);
     EXPECT_TRUE(written.ok()) << written.ToString();
     return MappedModelArtifact::Open(path);
+  }
+
+  /// Loads `bytes` from a real file through serve::LoadModelBundle. The
+  /// outcome must be a typed error or a valid index (every row readable —
+  /// ASan sees any span that outruns the image); returns whether it loaded.
+  static bool BundleLoads(const std::string& bytes, const std::string& name) {
+    const std::string path = TempPath(name);
+    const Status written = WriteStringToFile(path, bytes);
+    EXPECT_TRUE(written.ok()) << written.ToString();
+    const auto bundle = serve::LoadModelBundle(path);
+    if (!bundle.ok()) {
+      EXPECT_TRUE(IsTypedFailure(bundle.status()))
+          << "untyped bundle error " << bundle.status().ToString();
+      return false;
+    }
+    const serve::ProfileIndex& index = bundle->index;
+    double sum = 0.0;
+    for (size_t u = 0; u < index.num_users(); ++u) {
+      for (const double weight : index.Membership(static_cast<UserId>(u))) {
+        sum += weight;
+      }
+      for (const auto& top : index.TopCommunities(static_cast<UserId>(u))) {
+        EXPECT_GE(top.community, 0);
+        EXPECT_LT(top.community, index.num_communities());
+      }
+    }
+    for (int z = 0; z < index.num_topics(); ++z) {
+      for (const double weight : index.TopicWords(z)) sum += weight;
+    }
+    volatile double sink = sum;  // Keeps the reads.
+    (void)sink;
+    return true;
   }
 
   /// Asserts both decode paths reject `bytes` with a typed status.
@@ -180,8 +209,8 @@ TEST_F(ArtifactTortureTest, EveryV3PrefixIsRejectedByBothPaths) {
 
 TEST_F(ArtifactTortureTest, EveryLegacyPrefixIsRejected) {
   for (const uint32_t version : {1u, 2u}) {
-    const std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
+    const std::string bytes = testing::EncodeLegacyArtifact(
+        MakeArtifact(/*with_vocab=*/version >= 2), version);
     for (size_t keep = 0; keep < bytes.size(); ++keep) {
       const auto decoded = DecodeModelArtifact(bytes.substr(0, keep));
       ASSERT_FALSE(decoded.ok())
@@ -189,8 +218,25 @@ TEST_F(ArtifactTortureTest, EveryLegacyPrefixIsRejected) {
       EXPECT_TRUE(IsTypedFailure(decoded.status()))
           << "v" << version << " prefix " << keep << ": "
           << decoded.status().ToString();
+      // The up-converting serving loader rejects it too.
+      EXPECT_FALSE(BundleLoads(bytes.substr(0, keep), "prefix_legacy.cpdb"))
+          << "v" << version << " prefix " << keep << " loaded";
     }
+    EXPECT_TRUE(BundleLoads(bytes, "legacy_whole.cpdb")) << "v" << version;
   }
+  // One text model: a prefix may still parse (a cut inside the last number
+  // is a shorter number), so each must be a typed error or a valid index.
+  auto model = CpdModel::FromArtifact(MakeArtifact(/*with_vocab=*/false));
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const std::string text_path = TempPath("torture_text.cpd");
+  ASSERT_TRUE(model->SaveToFile(text_path).ok());
+  auto text = ReadFileToString(text_path);
+  ASSERT_TRUE(text.ok());
+  for (size_t keep = 0; keep < text->size(); ++keep) {
+    SCOPED_TRACE(::testing::Message() << "text prefix " << keep);
+    BundleLoads(text->substr(0, keep), "prefix_text.cpd");
+  }
+  EXPECT_TRUE(BundleLoads(*text, "text_whole.cpd"));
 }
 
 TEST_F(ArtifactTortureTest, EveryDeltaPrefixIsRejected) {
@@ -230,6 +276,24 @@ TEST_F(ArtifactTortureTest, EveryHeaderBitFlipIsRejectedByBothPaths) {
       ASSERT_FALSE(decoded.ok());
       EXPECT_TRUE(IsTypedFailure(decoded.status()))
           << decoded.status().ToString();
+      EXPECT_FALSE(BundleLoads(corrupt, "bitflip_bundle.cpdb"));
+    }
+  }
+  // v1/v2 carry no checksum, so a flipped legacy header bit may still
+  // describe a loadable file: through the up-converting loader each must
+  // be a typed error or a valid index.
+  constexpr size_t kLegacyHeader = 52;
+  for (const uint32_t version : {1u, 2u}) {
+    const std::string legacy = testing::EncodeLegacyArtifact(
+        MakeArtifact(/*with_vocab=*/version >= 2), version);
+    for (size_t byte = 0; byte < kLegacyHeader; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string corrupt = legacy;
+        corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+        SCOPED_TRACE(::testing::Message() << "v" << version << " byte "
+                                          << byte << " bit " << bit);
+        BundleLoads(corrupt, "bitflip_legacy.cpdb");
+      }
     }
   }
   // Spot-check the mmap loader agrees on a checksum-only flip (both paths
@@ -500,8 +564,8 @@ TEST_F(ArtifactTortureTest, VocabSectionForgeryIsRejected) {
 
 TEST_F(ArtifactTortureTest, LegacyForgedHeaderCannotSizeAllocations) {
   for (const uint32_t version : {1u, 2u}) {
-    std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
+    std::string bytes = testing::EncodeLegacyArtifact(
+        MakeArtifact(/*with_vocab=*/version >= 2), version);
     // Legacy layout: ... |C| i32 @16, |Z| i32 @20, |U| u64 @24.
     WriteLE<uint64_t>(&bytes, 24, ~0ull >> 3);
     const auto decoded = DecodeModelArtifact(bytes);
@@ -516,8 +580,8 @@ TEST_F(ArtifactTortureTest, LegacyForgedHeaderCannotSizeAllocations) {
 
 TEST_F(ArtifactTortureTest, MappingALegacyArtifactIsFailedPrecondition) {
   for (const uint32_t version : {1u, 2u}) {
-    const std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
+    const std::string bytes = testing::EncodeLegacyArtifact(
+        MakeArtifact(/*with_vocab=*/version >= 2), version);
     const auto mapped = MmapOpen(bytes, "legacy.cpdb");
     ASSERT_FALSE(mapped.ok()) << "v" << version;
     EXPECT_EQ(mapped.status().code(), StatusCode::kFailedPrecondition);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "core/cpd_model.h"
 #include "core/model_artifact.h"
 #include "core/model_state.h"
@@ -175,13 +176,10 @@ TEST_F(ProfileIndexTest, LoadBinaryRejectsTruncatedFile) {
     }
   }
   // The legacy sequential format names the truncated section too.
-  ModelArtifact legacy_artifact = model_->ToArtifact();
-  ArtifactWriteOptions v2_options;
-  v2_options.version = 2;
-  auto v2 = EncodeModelArtifact(legacy_artifact, v2_options);
-  ASSERT_TRUE(v2.ok());
+  const std::string v2 =
+      testing::EncodeLegacyArtifact(model_->ToArtifact(), /*version=*/2);
   {
-    const auto loaded = DecodeModelArtifact(v2->substr(0, v2->size() / 2));
+    const auto loaded = DecodeModelArtifact(v2.substr(0, v2.size() / 2));
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
     EXPECT_NE(loaded.status().message().find("section"), std::string::npos)
@@ -429,7 +427,7 @@ TEST_F(ProfileIndexTest, DiffusionRejectsIdsOutsideTheBoundGraph) {
   artifact.eta.assign(2 * 2 * 2, 0.5);
   artifact.weights.assign(kNumDiffusionWeights, 0.1);
   artifact.popularity.assign(1 * 2, 0.5);
-  auto index = ProfileIndex::FromArtifact(std::move(artifact));
+  auto index = testing::IndexFromArtifact(artifact);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   const QueryEngine engine(*index, &data_->graph);
   const auto graph_users = static_cast<UserId>(data_->graph.num_users());
@@ -508,14 +506,12 @@ TEST_F(ProfileIndexTest, ArtifactWithoutVocabularyLoadsWithNullVocab) {
 
 TEST_F(ProfileIndexTest, Version1ArtifactsStillLoad) {
   const std::string path = TempPath("v1_compat.cpdb");
-  // The default save is v3 now, so build the v2 bytes explicitly, then
-  // rewrite them as a v1 artifact: version byte back to 1, drop the
-  // trailing empty vocabulary section (one u64 count).
-  ArtifactWriteOptions v2_options;
-  v2_options.version = 2;
-  auto bytes = EncodeModelArtifact(model_->ToArtifact(), v2_options);
-  ASSERT_TRUE(bytes.ok());
-  std::string v1 = *bytes;
+  // The library writes only v3, so build the v2 bytes with the test
+  // encoder, then rewrite them as a v1 artifact: version byte back to 1,
+  // drop the trailing empty vocabulary section (one u64 count).
+  const std::string bytes =
+      testing::EncodeLegacyArtifact(model_->ToArtifact(), /*version=*/2);
+  std::string v1 = bytes;
   ASSERT_EQ(v1[8], 2);
   v1[8] = 1;
   v1.resize(v1.size() - sizeof(uint64_t));
@@ -528,7 +524,7 @@ TEST_F(ProfileIndexTest, Version1ArtifactsStillLoad) {
   EXPECT_EQ(bundle->index.Membership(1)[0], model_->Membership(1)[0]);
   // A v1 reader would see trailing bytes if we forgot to truncate; prove
   // the v2 reader equally rejects a v1 body with vocab leftovers.
-  std::string corrupt = *bytes;
+  std::string corrupt = bytes;
   corrupt[8] = 1;
   EXPECT_FALSE(DecodeModelArtifact(corrupt).ok());
   std::filesystem::remove(path);

@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "artifact_test_util.h"
 #include "core/cpd_model.h"
 #include "core/model_artifact.h"
 #include "core/model_state.h"
@@ -197,7 +198,7 @@ TEST_F(ScoringEquivalenceTest, TopKTieBreakingIsStable) {
   artifact.eta.assign(5 * 5 * 3, 0.5);
   artifact.weights.assign(kNumDiffusionWeights, 0.0);
   artifact.popularity.assign(1 * 3, 1.0 / 3);
-  auto index = ProfileIndex::FromArtifact(std::move(artifact));
+  auto index = testing::IndexFromArtifact(artifact);
   ASSERT_TRUE(index.ok());
   const QueryEngine engine(*index);
   serve::RankCommunitiesRequest request;

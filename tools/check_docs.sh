@@ -7,7 +7,11 @@
 #   3. every metric family name ("cpd_..." string literal in src/**/*.cc)
 #      must appear in the docs/OBSERVABILITY.md catalog, so new metrics
 #      cannot ship undocumented; and every family in a catalog table row
-#      must be such a literal, so deleted metrics cannot linger there.
+#      must be such a literal, so deleted metrics cannot linger there;
+#   4. every --flag spelled after cpd_train, cpd_serve, cpd_query,
+#      cpd_ingest or cpd_worker in README.md or docs/*.md (up to the next
+#      tool name, across backslash-continued lines) must be in that tool's
+#      kKnownFlags, so deleted flags cannot linger in the docs.
 # Exits non-zero listing every violation.
 
 set -u
@@ -95,8 +99,38 @@ else
   done
 fi
 
+# ----- 4. CLI flags in the docs exist -----
+cli_tools="cpd_train cpd_serve cpd_query cpd_ingest cpd_worker"
+any_tool="(?<![a-z0-9_])($(echo "$cli_tools" | tr ' ' '|'))(?![a-z0-9_])"
+for tool in $cli_tools; do
+  src=tools/$tool.cc
+  known=$(sed -n '/kKnownFlags = {/,/};/p' "$src" 2>/dev/null |
+          grep -oE '"[a-z0-9_]+"' | tr -d '"' | sort -u)
+  if [ -z "$known" ]; then
+    echo "ERROR: no kKnownFlags extracted from $src" \
+         "(did the flag-table idiom change?)"
+    failures=1
+    continue
+  fi
+  for doc in README.md docs/*.md; do
+    # Join continued lines, then take each span from the tool name (as a
+    # whole word) up to the next tool name or the end of the line.
+    flags=$(sed -e ':a' -e '/\\$/N' -e 's/\\\n/ /' -e 'ta' "$doc" |
+            grep -oP "(?<![a-z0-9_])$tool(?![a-z0-9_])((?!$any_tool).)*" |
+            grep -oE -- '--[a-z0-9_]+' | sed 's/^--//' | sort -u)
+    for flag in $flags; do
+      if ! printf '%s\n' "$known" | grep -qxF "$flag"; then
+        echo "UNKNOWN FLAG: $tool --$flag (in $doc, not in the" \
+             "kKnownFlags of $src)"
+        failures=1
+      fi
+    done
+  done
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (links resolve, every route and metric documented)"
+echo "docs check OK (links resolve, every route, metric and CLI flag" \
+     "documented)"

@@ -1,6 +1,6 @@
 // Offline streaming-ingest front end: apply a JSON update batch to a
 // trained model + its training graph, run warm-started EM sweeps over the
-// touched shards, and write a fresh v2 artifact — no full retrain, no
+// touched shards, and write a fresh v3 artifact — no full retrain, no
 // server required. The same batch format is accepted online by cpd_serve's
 // POST /admin/ingest (docs/HTTP_API.md pins it).
 //

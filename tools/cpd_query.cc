@@ -1,9 +1,8 @@
 // Serving front end for trained models: load a binary ".cpdb" artifact (or
 // a legacy text model) into a ProfileIndex and answer the four §5 query
 // types through the QueryEngine — interactively (REPL on stdin) or from a
-// batch file. v2 artifacts bundle the
-// vocabulary, so textual `rank` queries work without --vocab (the flag
-// remains as an override).
+// batch file. Artifacts bundle the vocabulary, so textual `rank` queries
+// work without --vocab (the flag remains as an override).
 //
 // Usage:
 //   cpd_query --model model.cpdb [--vocab vocab.tsv] [--top_k 5]

@@ -54,7 +54,7 @@ void Usage(const char* argv0) {
                "          [--workers N | --worker_addrs H:P,H:P]\n"
                "          [--worker_binary PATH] [--sweep_deadline_ms 30000]\n"
                "          [--shards 0] [--model out.cpd]\n"
-               "          [--model_binary out.cpdb] [--artifact_version 3]\n"
+               "          [--model_binary out.cpdb]\n"
                "          [--vocab out.vocab]\n"
                "          [--dot out.dot] [--json out.json]\n"
                "          [--trace_out sweeps.json]\n"
@@ -67,8 +67,7 @@ const std::set<std::string> kKnownFlags = {
     "topics",   "iterations", "threads",    "seed",      "sampler",
     "mh_steps", "executor", "shards",       "model",     "model_binary",
     "vocab",    "dot",      "json",         "workers",   "worker_addrs",
-    "worker_binary", "sweep_deadline_ms", "trace_out", "log_level",
-    "artifact_version"};
+    "worker_binary", "sweep_deadline_ms", "trace_out", "log_level"};
 
 }  // namespace
 
@@ -242,15 +241,10 @@ int main(int argc, char** argv) {
     std::printf("\nmodel -> %s\n", args["model"].c_str());
   }
   if (args.count("model_binary")) {
-    // The vocabulary is bundled into the artifact so cpd_query and
-    // cpd_serve need no side --vocab file. --artifact_version 1|2 keeps
-    // emitting the legacy heap-only layouts for older readers; the default
-    // v3 is page-aligned for zero-copy mmap serving.
-    cpd::ArtifactWriteOptions write_options;
-    write_options.version = static_cast<uint32_t>(cpd::GetInt64FlagOrExit(
-        args, "artifact_version", write_options.version, usage));
-    const cpd::Status status =
-        model->SaveBinary(args["model_binary"], &vocab, write_options);
+    // The vocabulary is bundled into the v3 artifact (page-aligned for
+    // zero-copy mmap serving) so cpd_query and cpd_serve need no side
+    // --vocab file.
+    const cpd::Status status = model->SaveBinary(args["model_binary"], &vocab);
     if (!status.ok()) {
       std::fprintf(stderr, "binary model save failed: %s\n",
                    status.ToString().c_str());
