@@ -113,7 +113,6 @@ double MeasureServing(server::ModelRegistry* registry,
                       bool metrics_enabled) {
   server::HttpServerOptions options;
   options.port = 0;
-  options.io_mode = server::IoMode::kEpoll;
   options.threads = kServerThreads;
   options.log_requests = false;
   server::HttpServer http_server(options);

@@ -3,12 +3,7 @@
 // Trains one model on the Twitter-like preset, saves a v3 ".cpdb" artifact
 // (vocabulary bundled), serves it through the real stack (ModelRegistry +
 // HttpServer + JSON endpoints on loopback), and drives a closed-loop load
-// generator against POST /v1/query in both io modes:
-//
-//   blocking          1 / 4 / 16 connections (the thread-per-connection
-//                     path; its accept edge caps connections at the worker
-//                     count, so wider sweeps are meaningless here)
-//   epoll             1 / 16 / 256 / 1024 connections
+// generator against POST /v1/query at 1 / 16 / 256 / 1024 connections.
 //
 // Levels whose fd appetite (client + server side) would cross the process
 // RLIMIT_NOFILE are skipped with a note rather than failing half-connected.
@@ -19,7 +14,7 @@
 // histogram (scrape delta around the measured pass), plus a
 // single-connection GET /healthz baseline that isolates transport cost
 // (framing + JSON + loopback) from query cost. `--connections N` overrides
-// the sweep with one custom level (e.g. 1024) on the epoll config.
+// the sweep with one custom level (e.g. 4096).
 //
 // The JSON records which image backing serves the index ("load_mode":
 // "mmap" for a mapped v3 file) and a "reloads" section timing the full
@@ -63,22 +58,11 @@
 namespace cpd::bench {
 namespace {
 
-// Comfortably above 2x the largest blocking-mode connection level: a
-// finished client's server-side connection lingers for a moment after
-// close, so warm-up and measured connections can briefly coexist without
-// tripping the accept-edge 429 shed.
+// Worker pool size; earlier BENCH_server.json files were measured with it.
 constexpr int kServerThreads = 40;
 constexpr size_t kRequestsPerLevel = 3000;
 
-struct BenchConfig {
-  const char* label;
-  server::IoMode io_mode;
-  std::vector<int> levels;
-};
-
 struct LevelResult {
-  const char* config_label = "";
-  server::IoMode io_mode = server::IoMode::kBlocking;
   int connections = 0;
   size_t requests = 0;
   double qps = 0.0;
@@ -333,110 +317,81 @@ void Run(int override_connections) {
   const std::vector<std::string> workload = BuildWireWorkload(
       dataset.data.graph, registry.Snapshot()->index, kRequestsPerLevel, &rng);
 
-  std::vector<BenchConfig> configs = {
-      {"blocking", server::IoMode::kBlocking, {1, 4, 16}},
-      {"epoll", server::IoMode::kEpoll, {1, 16, 256, 1024}},
-  };
-  if (override_connections > 0) {
-    for (BenchConfig& bench_config : configs) {
-      bench_config.levels = {override_connections};
-    }
-    if (override_connections > kServerThreads) {
-      // The blocking accept edge sheds past the worker count; a wider
-      // custom level only makes sense on the epoll config.
-      std::printf("skipping blocking config (%d connections > %d workers)\n",
-                  override_connections, kServerThreads);
-      configs.erase(configs.begin());
-    }
-  }
+  std::vector<int> connection_levels = {1, 16, 256, 1024};
+  if (override_connections > 0) connection_levels = {override_connections};
 
   // Every connection costs two fds in this process (client + server end);
   // drop levels a constrained RLIMIT_NOFILE could not carry half-connected.
   rlimit nofile{};
   if (getrlimit(RLIMIT_NOFILE, &nofile) == 0) {
     const rlim_t budget = nofile.rlim_cur;
-    for (BenchConfig& bench_config : configs) {
-      std::vector<int> kept;
-      for (const int level : bench_config.levels) {
-        if (static_cast<rlim_t>(level) * 2 + 64 <= budget) {
-          kept.push_back(level);
-        } else {
-          std::printf(
-              "skipping %s @ %d connections (RLIMIT_NOFILE %llu too low)\n",
-              bench_config.label, level,
-              static_cast<unsigned long long>(budget));
-        }
+    std::vector<int> kept;
+    for (const int level : connection_levels) {
+      if (static_cast<rlim_t>(level) * 2 + 64 <= budget) {
+        kept.push_back(level);
+      } else {
+        std::printf("skipping %d connections (RLIMIT_NOFILE %llu too low)\n",
+                    level, static_cast<unsigned long long>(budget));
       }
-      bench_config.levels = std::move(kept);
     }
+    connection_levels = std::move(kept);
   }
 
-  double health_p50 = 0.0;
+  server::HttpServerOptions options;
+  options.port = 0;
+  options.threads = kServerThreads;
+  options.max_connections = std::max(2048, override_connections * 2);
+  options.max_inflight = 64;
+  options.log_requests = false;  // The log would dominate the bench.
+  server::HttpServer http_server(options);
+  server::ServiceStats stats;
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
+  CPD_CHECK(http_server.Start().ok());
+  const int port = http_server.port();
+
+  // Transport-only baseline: /healthz round trips on one connection.
+  auto warm = server::HttpClient::Connect("127.0.0.1", port);
+  CPD_CHECK(warm.ok());
+  for (int i = 0; i < 50; ++i) {
+    CPD_CHECK(warm->RoundTrip("GET", "/healthz").ok());
+  }
+  warm->Close();
+  auto client = server::HttpClient::Connect("127.0.0.1", port);
+  CPD_CHECK(client.ok());
+  std::vector<double> health_us;
+  health_us.reserve(500);
+  for (int i = 0; i < 500; ++i) {
+    WallTimer timer;
+    CPD_CHECK(client->RoundTrip("GET", "/healthz").ok());
+    health_us.push_back(timer.ElapsedSeconds() * 1e6);
+  }
+  client->Close();
+  const double health_p50 = Percentile(&health_us, 0.50);
+  std::printf("transport baseline (GET /healthz): p50 %.1f us\n", health_p50);
+
   std::vector<LevelResult> levels;
-  for (const BenchConfig& bench_config : configs) {
-    server::HttpServerOptions options;
-    options.port = 0;
-    options.io_mode = bench_config.io_mode;
-    options.threads = kServerThreads;
-    options.max_connections =
-        std::max(2048, override_connections * 2);
-    options.max_inflight = 64;
-    options.log_requests = false;  // The log would dominate the bench.
-    server::HttpServer http_server(options);
-    server::ServiceStats stats;
-    server::RegisterCpdRoutes(&http_server, &registry, &stats);
-    CPD_CHECK(http_server.Start().ok());
-    const int port = http_server.port();
-
-    if (bench_config.io_mode == server::IoMode::kBlocking) {
-      // Transport-only baseline: /healthz round trips on one connection
-      // (measured on the blocking path so it stays comparable with the
-      // pre-event-loop numbers).
-      auto warm = server::HttpClient::Connect("127.0.0.1", port);
-      CPD_CHECK(warm.ok());
-      for (int i = 0; i < 50; ++i) {
-        CPD_CHECK(warm->RoundTrip("GET", "/healthz").ok());
-      }
-      auto client = server::HttpClient::Connect("127.0.0.1", port);
-      CPD_CHECK(client.ok());
-      std::vector<double> health_us;
-      health_us.reserve(500);
-      for (int i = 0; i < 500; ++i) {
-        WallTimer timer;
-        CPD_CHECK(client->RoundTrip("GET", "/healthz").ok());
-        health_us.push_back(timer.ElapsedSeconds() * 1e6);
-      }
-      health_p50 = Percentile(&health_us, 0.50);
-      std::printf("transport baseline (GET /healthz): p50 %.1f us\n",
-                  health_p50);
-    }
-
-    std::printf("-- %s --\n", bench_config.label);
-    for (const int connections : bench_config.levels) {
-      // Warm-up pass at this width, then the measured pass (with a
-      // breather so the warm-up's closed connections finish their
-      // server-side teardown and free capacity).
-      RunLevel(port, workload, connections);
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      const std::vector<uint64_t> scrape_before = ScrapeLatencyBuckets(port);
-      LevelResult result = RunLevel(port, workload, connections);
-      const std::vector<uint64_t> scrape_after = ScrapeLatencyBuckets(port);
-      result.config_label = bench_config.label;
-      result.io_mode = bench_config.io_mode;
-      const obs::Histogram::Snapshot server_side =
-          SnapshotFromScrapeDelta(scrape_before, scrape_after);
-      result.server_p50_us = server_side.Percentile(0.50);
-      result.server_p99_us = server_side.Percentile(0.99);
-      std::printf(
-          "%4d connection%s: %7.0f req/sec   p50 %7.1f us   p99 %8.1f us   "
-          "(server-side p50 %.1f / p99 %.1f us)\n",
-          result.connections, result.connections == 1 ? " " : "s",
-          result.qps, result.p50_us, result.p99_us, result.server_p50_us,
-          result.server_p99_us);
-      levels.push_back(result);
-    }
-    http_server.Stop();
+  for (const int connections : connection_levels) {
+    // Warm-up pass at this width, then the measured pass (with a breather
+    // so the warm-up's closed connections finish their server-side
+    // teardown and free capacity).
+    RunLevel(port, workload, connections);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::vector<uint64_t> scrape_before = ScrapeLatencyBuckets(port);
+    LevelResult result = RunLevel(port, workload, connections);
+    const std::vector<uint64_t> scrape_after = ScrapeLatencyBuckets(port);
+    const obs::Histogram::Snapshot server_side =
+        SnapshotFromScrapeDelta(scrape_before, scrape_after);
+    result.server_p50_us = server_side.Percentile(0.50);
+    result.server_p99_us = server_side.Percentile(0.99);
+    std::printf(
+        "%4d connection%s: %7.0f req/sec   p50 %7.1f us   p99 %8.1f us   "
+        "(server-side p50 %.1f / p99 %.1f us)\n",
+        result.connections, result.connections == 1 ? " " : "s", result.qps,
+        result.p50_us, result.p99_us, result.server_p50_us,
+        result.server_p99_us);
+    levels.push_back(result);
   }
+  http_server.Stop();
   std::filesystem::remove(artifact_path);
   std::filesystem::remove(v2_path);
 
@@ -467,13 +422,13 @@ void Run(int override_connections) {
   json += "  \"levels\": [\n";
   for (size_t i = 0; i < levels.size(); ++i) {
     json += StrFormat(
-        "    {\"io_mode\": \"%s\", \"connections\": %d, "
+        "    {\"io_mode\": \"epoll\", \"connections\": %d, "
         "\"requests\": %zu, \"queries_per_sec\": %.1f, \"p50_us\": %.2f, "
         "\"p99_us\": %.2f, \"server_p50_us\": %.2f, "
         "\"server_p99_us\": %.2f}%s\n",
-        server::IoModeName(levels[i].io_mode), levels[i].connections,
-        levels[i].requests, levels[i].qps, levels[i].p50_us,
-        levels[i].p99_us, levels[i].server_p50_us, levels[i].server_p99_us,
+        levels[i].connections, levels[i].requests, levels[i].qps,
+        levels[i].p50_us, levels[i].p99_us, levels[i].server_p50_us,
+        levels[i].server_p99_us,
         i + 1 < levels.size() ? "," : "");
   }
   json += "  ]\n}\n";

@@ -21,7 +21,7 @@
 ///   - Durations recorded into histograms should be measured with
 ///     obs::NowMicros() (src/obs/clock.h): under a frozen test clock every
 ///     duration is exactly 0 and scrape output is byte-deterministic
-///     (tests/io_mode_differential_test.cc pins this across io modes).
+///     (tests/io_mode_differential_test.cc pins this across two servers).
 ///   - A registry is an instantiable object, not a process singleton:
 ///     ServiceStats owns one per server stack, so tests can build two
 ///     stacks in one process and compare scrapes. DefaultRegistry() serves

@@ -36,6 +36,9 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+/// The reserve descriptor: any cheap fd works; closing it frees one slot.
+int OpenSpareFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
 }  // namespace
 
 EventLoop::EventLoop(int listen_fd, EventLoopOptions options,
@@ -48,6 +51,10 @@ EventLoop::~EventLoop() {
   // completion after the loop thread exits, and Wake() touching a closed
   // eventfd would race. The owner destroys the loop only once no caller
   // can reach CompleteRequest.
+  if (spare_fd_ >= 0) {
+    ::close(spare_fd_);
+    spare_fd_ = -1;
+  }
   if (wake_fd_ >= 0) {
     ::close(wake_fd_);
     wake_fd_ = -1;
@@ -75,6 +82,12 @@ Status EventLoop::Start() {
     ::close(epoll_fd_);
     epoll_fd_ = -1;
     return Status::IOError("eventfd: " + std::string(std::strerror(errno)));
+  }
+
+  spare_fd_ = OpenSpareFd();
+  if (spare_fd_ < 0) {
+    return Status::IOError("open(/dev/null): " +
+                           std::string(std::strerror(errno)));
   }
 
   struct epoll_event event {};
@@ -209,6 +222,11 @@ void EventLoop::AcceptAll() {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      // Out of descriptors: the pending connection would keep the
+      // level-triggered listener ready forever, so shed it.
+      if ((errno == EMFILE || errno == ENFILE) && ShedWithSpareFd()) {
+        continue;
+      }
       break;  // EAGAIN (drained) or a transient accept error.
     }
     const int one = 1;
@@ -217,13 +235,7 @@ void EventLoop::AcceptAll() {
     if (stopping_.load(std::memory_order_acquire) ||
         connections_.size() >=
             static_cast<size_t>(options_.max_connections)) {
-      // Same shed the blocking listener performs at its thread cap:
-      // best-effort 429, then close.
-      const std::string shed =
-          SerializeResponse(handler_->OnConnectionShed(), false);
-      [[maybe_unused]] ssize_t n =
-          ::send(fd, shed.data(), shed.size(), MSG_NOSIGNAL);
-      ::close(fd);
+      Shed(fd);
       continue;
     }
 
@@ -247,6 +259,27 @@ void EventLoop::AcceptAll() {
     }
     it->second.interest = EPOLLIN;
   }
+}
+
+bool EventLoop::ShedWithSpareFd() {
+  // A handler thread may have taken the freed slot before the last reopen.
+  if (spare_fd_ < 0) spare_fd_ = OpenSpareFd();
+  if (spare_fd_ < 0) return false;
+  ::close(spare_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) Shed(fd);
+  // After the shed closes: the spare takes back the slot it lent.
+  spare_fd_ = OpenSpareFd();
+  return fd >= 0;
+}
+
+void EventLoop::Shed(int fd) {
+  // Best-effort 429, then close.
+  const std::string shed =
+      SerializeResponse(handler_->OnConnectionShed(), false);
+  [[maybe_unused]] ssize_t n =
+      ::send(fd, shed.data(), shed.size(), MSG_NOSIGNAL);
+  ::close(fd);
 }
 
 void EventLoop::HandleReadable(Connection* connection) {
@@ -299,8 +332,8 @@ void EventLoop::ProcessParsed(Connection* connection) {
     case RequestParser::State::kBody:
       if (connection->peer_closed) {
         if (connection->parser.HasPartialData()) {
-          // Mid-message close: answer the malformed framing (parity with
-          // the blocking loop's 400) even though the write is best-effort.
+          // Mid-message close: the framing is malformed, so answer 400
+          // even though the write is best-effort.
           const bool mid_body =
               connection->parser.state() == RequestParser::State::kBody;
           const HttpResponse response = handler_->OnFramingError(
@@ -390,7 +423,7 @@ void EventLoop::DrainCompletions() {
     }
     if (!completion.keep_alive) connection->close_after_write = true;
     // Only completion responses time the write stage (framing/shed writes
-    // do not), matching the blocking path's per-dispatched-request sample.
+    // do not): one sample per dispatched request.
     connection->write_start_us = obs::NowMicros();
     QueueWrite(connection,
                SerializeResponse(completion.response, completion.keep_alive));
@@ -431,8 +464,7 @@ void EventLoop::SweepIdle() {
 
 void EventLoop::CloseIdleForDrain() {
   // Keep-alive connections with no request in flight and nothing queued to
-  // write are closed outright — parity with the blocking path's SHUT_RD
-  // nudging idle readers to observe EOF.
+  // write are closed outright: an idle client observes EOF.
   std::vector<uint64_t> idle;
   for (const auto& [token, connection] : connections_) {
     if (!connection.in_flight && connection.out.empty()) {

@@ -2,8 +2,8 @@
 #define CPD_SERVER_EVENT_LOOP_H_
 
 /// \file event_loop.h
-/// Epoll-based I/O backend of HttpServer (--io_mode epoll): one loop thread
-/// multiplexes every connection through readiness-driven state machines
+/// The I/O backend of HttpServer: one epoll loop thread multiplexes every
+/// connection through readiness-driven state machines
 /// (read -> parse -> dispatch -> write), so 16 -> 10k keep-alive
 /// connections stop costing a blocked thread each. The loop never runs
 /// request handlers: a fully-parsed request is handed to the
@@ -26,14 +26,17 @@
 ///               framing error, draining) or re-arm EPOLLIN — buffered
 ///               pipelined bytes are parsed immediately.
 ///
-/// Graceful drain mirrors the blocking path: Stop() stops accepting,
-/// closes idle connections, lets in-flight requests finish and write their
-/// responses, and force-closes stragglers after 10 s.
+/// Graceful drain: Stop() stops accepting, closes idle connections, lets
+/// in-flight requests finish and write their responses, and force-closes
+/// stragglers after 10 s.
 ///
 /// Admission at the accept edge is capacity-based (max_connections — the
 /// loop does not spend a thread per connection, so the bound is a memory
-/// cap, not the pool size); over-cap accepts get the same serialized 429
-/// the blocking path sheds with.
+/// cap, not the pool size); over-cap accepts get the handler's serialized
+/// 429 and are closed. Running out of file descriptors sheds the same way:
+/// the loop holds one spare descriptor, and on EMFILE/ENFILE it closes the
+/// spare, accepts, sends the 429, closes, and reopens the spare, so the
+/// level-triggered listener never spins on a connection it cannot take.
 
 #include <atomic>
 #include <chrono>
@@ -73,8 +76,8 @@ class EventLoopHandler {
 
   /// One completion response fully flushed to the socket; `micros` is
   /// queued-for-write to last-byte-written (the "write" request stage).
-  /// Framing-error and shed writes are not reported, so the sample count
-  /// matches the blocking path's one-sample-per-dispatched-request.
+  /// Framing-error and shed writes are not reported: one sample per
+  /// dispatched request.
   virtual void OnResponseWritten(double /*micros*/) {}
 };
 
@@ -144,6 +147,12 @@ class EventLoop {
 
   void Loop();
   void AcceptAll();
+  /// The EMFILE/ENFILE path of AcceptAll: accepts one connection into the
+  /// spare descriptor's slot, sheds it, and reopens the spare. False when
+  /// nothing was accepted.
+  bool ShedWithSpareFd();
+  /// Writes the handler's accept-edge 429 (best effort) and closes `fd`.
+  void Shed(int fd);
   void HandleReadable(Connection* connection);
   void HandleWritable(Connection* connection);
   void ProcessParsed(Connection* connection);
@@ -162,6 +171,7 @@ class EventLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  int spare_fd_ = -1;  ///< Reserve descriptor released to shed on EMFILE.
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

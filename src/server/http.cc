@@ -320,37 +320,6 @@ Status HttpStream::BufferBody(size_t total) {
   return Status::OK();
 }
 
-StatusOr<HttpRequest> HttpStream::ReadRequest(size_t max_head_bytes,
-                                              size_t max_body_bytes) {
-  last_error_http_status_ = 0;
-  if (parser_ == nullptr) {
-    parser_ = std::make_unique<RequestParser>(max_head_bytes, max_body_bytes);
-  }
-  while (parser_->NeedsMore()) {
-    char chunk[16384];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      if (!parser_->HasPartialData()) {
-        return Status::NotFound("peer closed the connection");
-      }
-      return Status::InvalidArgument(
-          parser_->state() == RequestParser::State::kBody
-              ? "connection closed mid-body"
-              : "connection closed mid-head");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(StrFormat("recv failed: %s", strerror(errno)));
-    }
-    parser_->Feed(std::string_view(chunk, static_cast<size_t>(n)));
-  }
-  if (parser_->state() == RequestParser::State::kError) {
-    last_error_http_status_ = parser_->error_http_status();
-    return parser_->error();
-  }
-  return parser_->TakeRequest();
-}
-
 StatusOr<HttpResponse> HttpStream::ReadResponse(size_t max_body_bytes) {
   auto head_size = BufferHead(/*max_head_bytes=*/64 * 1024);
   if (!head_size.ok()) return head_size.status();

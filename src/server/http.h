@@ -2,18 +2,20 @@
 #define CPD_SERVER_HTTP_H_
 
 /// \file http.h
-/// HTTP/1.1 message types, framing, and blocking socket I/O — the transport
+/// HTTP/1.1 message types, framing, and client socket I/O — the transport
 /// vocabulary of the embedded serving layer (no third-party dependency; the
 /// subset the serving endpoints need: one request line, headers, an
 /// optional Content-Length body, keep-alive connections).
 ///
-/// Three layers live here:
+/// Four layers live here:
 ///   - HttpRequest / HttpResponse: plain structs plus serializers;
-///   - HttpStream: buffered blocking reader/writer over a connected socket
-///     fd, used by both the server's connection loop and the client
-///     (typed errors: InvalidArgument = malformed framing -> 400,
-///     OutOfRange = over a size cap -> 431/413, NotFound = peer closed
-///     cleanly between messages, IOError = socket error/timeout);
+///   - RequestParser: the incremental request framing the event loop
+///     (src/server/event_loop) feeds as bytes arrive;
+///   - HttpStream: buffered blocking response reader / writer over a
+///     connected socket fd, used by the client (typed errors:
+///     InvalidArgument = malformed framing, OutOfRange = over a size cap,
+///     NotFound = peer closed cleanly between messages, IOError = socket
+///     error/timeout);
 ///   - HttpClient: a blocking keep-alive loopback client for tests and the
 ///     closed-loop load generator (bench/server_load.cc).
 ///
@@ -23,7 +25,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -37,7 +38,7 @@ namespace cpd::server {
 /// slow-request log prints only the stages that did. Durations measured with
 /// obs::NowMicros() so a frozen test clock zeroes them deterministically.
 struct RequestTiming {
-  double queue_us = -1.0;      ///< Accept/read to dispatch (epoll: pool wait).
+  double queue_us = -1.0;      ///< Parsed to picked up by a worker.
   double parse_us = -1.0;      ///< JSON body decode + request validation.
   double scoring_us = -1.0;    ///< Engine query time.
   double serialize_us = -1.0;  ///< Response JSON encode.
@@ -104,13 +105,12 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head);
 HttpResponse MakeErrorResponse(int http_status, const Status& status,
                                int retry_after_ms = 0);
 
-/// Incremental (resumable) HTTP/1.1 request parser — the request framing
-/// shared by the blocking connection loop and the epoll event loop. Feed()
-/// bytes as they arrive; the parser buffers a head, validates the framing
-/// (including the Content-Length body cap *before* a single body byte is
-/// buffered, so an oversized upload is rejected by its declared length,
-/// never stored), then buffers the body. Pipelined bytes beyond one
-/// request are retained for the next TakeRequest() cycle.
+/// Incremental (resumable) HTTP/1.1 request parser — the event loop's
+/// request framing. Feed() bytes as they arrive; the parser buffers a head,
+/// validates the framing (including the Content-Length body cap *before* a
+/// single body byte is buffered, so an oversized upload is rejected by its
+/// declared length, never stored), then buffers the body. Pipelined bytes
+/// beyond one request are retained for the next TakeRequest() cycle.
 class RequestParser {
  public:
   enum class State {
@@ -163,25 +163,14 @@ class RequestParser {
   int error_http_status_ = 0;
 };
 
-/// Buffered blocking reader/writer over a connected socket. Does not own
-/// the fd's lifetime policy (caller closes); Read* calls block until a full
-/// message, a size cap, or the peer closes.
+/// Buffered blocking response reader / writer over a connected socket
+/// (client side). Does not own the fd's lifetime policy (caller closes);
+/// ReadResponse blocks until a full message, a size cap, or the peer closes.
 class HttpStream {
  public:
   explicit HttpStream(int fd) : fd_(fd) {}
 
-  /// Reads one full request (head + Content-Length body) through a
-  /// RequestParser, so the blocking path frames requests byte-identically
-  /// to the epoll event loop (including rejecting an over-cap
-  /// Content-Length before buffering the body).
-  StatusOr<HttpRequest> ReadRequest(size_t max_head_bytes,
-                                    size_t max_body_bytes);
-
-  /// HTTP status of the last ReadRequest framing failure (400/413/431),
-  /// or 0 when the last error was not a framing error (clean close, IO).
-  int last_error_http_status() const { return last_error_http_status_; }
-
-  /// Reads one full response (client side).
+  /// Reads one full response.
   StatusOr<HttpResponse> ReadResponse(size_t max_body_bytes);
 
   /// Writes the whole buffer (MSG_NOSIGNAL; EPIPE is an IOError, never a
@@ -192,16 +181,13 @@ class HttpStream {
 
  private:
   /// Ensures buffer_ holds a full "\r\n\r\n"-terminated head; returns its
-  /// length including the terminator. (Client-side response framing; the
-  /// request side lives in RequestParser.)
+  /// length including the terminator.
   StatusOr<size_t> BufferHead(size_t max_head_bytes);
   /// Ensures buffer_ holds >= `total` bytes.
   Status BufferBody(size_t total);
 
   int fd_;
-  std::string buffer_;                      ///< Response-side read buffer.
-  std::unique_ptr<RequestParser> parser_;   ///< Request-side, lazily made.
-  int last_error_http_status_ = 0;
+  std::string buffer_;  ///< Read buffer.
 };
 
 /// Blocking keep-alive HTTP client (tests + load generator). One in-flight

@@ -2,12 +2,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -40,17 +38,6 @@ std::vector<std::string> SplitPath(const std::string& path) {
 }
 
 }  // namespace
-
-StatusOr<IoMode> ParseIoMode(const std::string& text) {
-  if (text == "blocking") return IoMode::kBlocking;
-  if (text == "epoll") return IoMode::kEpoll;
-  return Status::InvalidArgument("unknown io mode '" + text +
-                                 "' (expected blocking|epoll)");
-}
-
-const char* IoModeName(IoMode mode) {
-  return mode == IoMode::kEpoll ? "epoll" : "blocking";
-}
 
 HttpServer::HttpServer(HttpServerOptions options)
     : options_(std::move(options)) {
@@ -99,10 +86,7 @@ Status HttpServer::Start() {
   // connection cap (the 256/1024-connection bench levels open everything
   // at once; an overflowed SYN queue costs each victim a 1s retransmit).
   // The kernel clamps to net.core.somaxconn.
-  const int backlog =
-      std::max(128, options_.io_mode == IoMode::kEpoll
-                        ? options_.max_connections
-                        : options_.threads);
+  const int backlog = std::max(128, options_.max_connections);
   if (::listen(listen_fd_, backlog) != 0) {
     const Status status =
         Status::IOError(StrFormat("listen failed: %s", strerror(errno)));
@@ -118,132 +102,27 @@ Status HttpServer::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(options_.threads));
-  if (options_.io_mode == IoMode::kEpoll) {
-    EventLoopOptions loop_options;
-    loop_options.max_connections = options_.max_connections;
-    loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-    loop_options.max_head_bytes = options_.max_head_bytes;
-    loop_options.max_body_bytes = options_.max_body_bytes;
-    event_loop_ = std::make_unique<EventLoop>(
-        listen_fd_, loop_options, static_cast<EventLoopHandler*>(this));
-    Status started = event_loop_->Start();
-    if (!started.ok()) {
-      event_loop_.reset();
-      pool_.reset();
-      running_.store(false, std::memory_order_release);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return started;
-    }
-  } else {
-    listener_ = std::thread([this] { ListenerLoop(); });
+  EventLoopOptions loop_options;
+  loop_options.max_connections = options_.max_connections;
+  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
+  loop_options.max_head_bytes = options_.max_head_bytes;
+  loop_options.max_body_bytes = options_.max_body_bytes;
+  event_loop_ = std::make_unique<EventLoop>(
+      listen_fd_, loop_options, static_cast<EventLoopHandler*>(this));
+  Status started = event_loop_->Start();
+  if (!started.ok()) {
+    event_loop_.reset();
+    pool_.reset();
+    running_.store(false, std::memory_order_release);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return started;
   }
   CPD_LOG(Info) << "cpd_serve listening on " << options_.host << ":" << port_
-                << " (" << IoModeName(options_.io_mode) << " io, "
-                << options_.threads << " workers, max_inflight "
+                << " (" << options_.threads << " workers, max_connections "
+                << options_.max_connections << ", max_inflight "
                 << options_.max_inflight << ")";
   return Status::OK();
-}
-
-void HttpServer::ListenerLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Poll with a timeout so Stop() is noticed without racing on the fd.
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.idle_timeout_ms > 0) {
-      timeval timeout{};
-      timeout.tv_sec = options_.idle_timeout_ms / 1000;
-      timeout.tv_usec = (options_.idle_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    }
-
-    // Bounded accept: every worker runs one connection, so a full worker
-    // set means new connections would queue unboundedly behind the pool.
-    // Shed them here with the same 429 the request path uses.
-    bool accepted = false;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      if (connections_.size() <
-          static_cast<size_t>(options_.threads)) {
-        connections_.insert(fd);
-        accepted = true;
-      }
-    }
-    if (!accepted) {
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
-      HttpStream stream(fd);
-      stream.WriteAll(
-          SerializeResponse(Render429(), /*keep_alive=*/false));
-      ::close(fd);
-      continue;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    pool_->Submit([this, fd] { ConnectionLoop(fd); });
-  }
-}
-
-void HttpServer::ConnectionLoop(int fd) {
-  HttpStream stream(fd);
-  while (true) {
-    auto request = stream.ReadRequest(options_.max_head_bytes,
-                                      options_.max_body_bytes);
-    const int64_t received_us = obs::NowMicros();
-    if (!request.ok()) {
-      // Clean close / idle timeout / shutdown end the connection silently;
-      // malformed framing gets its 4xx envelope before closing. The parser
-      // picks the status (400 malformed, 431/413 over a cap); a mid-message
-      // peer close has no parser verdict and renders as a 400.
-      int http_status = stream.last_error_http_status();
-      if (http_status == 0 &&
-          request.status().code() == StatusCode::kInvalidArgument) {
-        http_status = 400;
-      }
-      if (http_status != 0) {
-        const HttpResponse response =
-            MakeErrorResponse(http_status, request.status());
-        CountResponse(response.status);
-        stream.WriteAll(SerializeResponse(response, /*keep_alive=*/false));
-      }
-      break;
-    }
-
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    // Blocking mode has no dispatch queue: queue_wait is read-to-dispatch
-    // and ~0, recorded anyway so the stage's sample count matches the
-    // request count in both io modes.
-    request->timing.queue_us =
-        static_cast<double>(obs::NowMicros() - received_us);
-    RecordStage("queue_wait", request->timing.queue_us);
-    const HttpResponse response = Dispatch(&*request);
-    CountResponse(response.status);
-
-    // Drain the connection after this response when shutting down or the
-    // client's version/Connection header asks to close.
-    const bool keep_alive =
-        !stopping_.load(std::memory_order_acquire) && request->KeepAlive();
-    LogRequest(*request, response,
-               static_cast<double>(obs::NowMicros() - received_us));
-    const int64_t write_start_us = obs::NowMicros();
-    const bool write_ok =
-        stream.WriteAll(SerializeResponse(response, keep_alive)).ok();
-    if (write_ok) {
-      RecordStage("write",
-                  static_cast<double>(obs::NowMicros() - write_start_us));
-    }
-    if (!write_ok || !keep_alive) break;
-  }
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.erase(fd);
-  }
-  connections_drained_.notify_all();
-  ::close(fd);
 }
 
 HttpResponse HttpServer::Render429() const {
@@ -418,45 +297,13 @@ void HttpServer::CountResponse(int status) {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  if (event_loop_ != nullptr) {
-    // Epoll mode: the loop drains (in-flight worker responses still flush
-    // through CompleteRequest) before the pool is joined.
-    event_loop_->Stop();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    pool_.reset();
-    event_loop_.reset();
-    CPD_LOG(Info) << "server on port " << port_ << " stopped ("
-                  << requests_.load() << " requests served)";
-    return;
-  }
-  if (listener_.joinable()) listener_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
-  // Nudge idle connections out of their blocking reads: SHUT_RD makes the
-  // pending recv return 0 (a clean end-of-stream) while in-flight handlers
-  // keep their write side to finish responding.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const int fd : connections_) ::shutdown(fd, SHUT_RD);
-  }
-  {
-    std::unique_lock<std::mutex> lock(connections_mutex_);
-    if (!connections_drained_.wait_for(lock, std::chrono::seconds(10), [this] {
-          return connections_.empty();
-        })) {
-      CPD_LOG(Warning) << "forcing " << connections_.size()
-                       << " connections closed after drain timeout";
-      for (const int fd : connections_) ::shutdown(fd, SHUT_RDWR);
-      connections_drained_.wait(lock, [this] { return connections_.empty(); });
-    }
-  }
-  pool_.reset();  // Joins the workers; all connection loops have returned.
+  // The loop drains (in-flight worker responses still flush through
+  // CompleteRequest) before the pool is joined.
+  event_loop_->Stop();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  pool_.reset();
+  event_loop_.reset();
   CPD_LOG(Info) << "server on port " << port_ << " stopped ("
                 << requests_.load() << " requests served)";
 }

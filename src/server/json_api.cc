@@ -758,9 +758,9 @@ HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
                               "counter");
   obs::AppendSampleLine(&out, "cpd_http_connections_accepted_total", {},
                         static_cast<double>(transport.connections_accepted));
-  obs::AppendExpositionHeader(&out, "cpd_http_connections_rejected_total",
-                              "Connections shed at the max_connections cap.",
-                              "counter");
+  obs::AppendExpositionHeader(
+      &out, "cpd_http_connections_rejected_total",
+      "Connections shed at the accept edge (429-and-close).", "counter");
   obs::AppendSampleLine(&out, "cpd_http_connections_rejected_total", {},
                         static_cast<double>(transport.connections_rejected));
   obs::AppendExpositionHeader(&out, "cpd_http_requests_total",

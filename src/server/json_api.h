@@ -73,7 +73,7 @@ namespace cpd::server {
 /// owned obs::MetricsRegistry (the transport counters live in
 /// HttpServerStats and are folded into /metricsz at scrape time). The
 /// registry is per-stats-object, not process-global, so two server stacks
-/// in one process (io_mode_differential_test) scrape independently.
+/// in one process scrape independently.
 ///
 /// /statsz renders these through the accessors below with its original
 /// field names; /metricsz renders registry->ExpositionText() directly.

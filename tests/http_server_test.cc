@@ -1,7 +1,8 @@
 // Loopback end-to-end tests of the embedded HTTP serving layer: endpoint
 // parity with the in-process QueryEngine (byte-identical JSON), malformed
-// input -> 400, admission control -> 429, deadlines -> 504, zero-downtime
-// hot reload, and graceful shutdown draining in-flight requests.
+// input -> 400, admission control -> 429 (including when the process runs
+// out of file descriptors), deadlines -> 504, zero-downtime hot reload, and
+// graceful shutdown draining in-flight requests.
 
 #include "server/http_server.h"
 
@@ -9,13 +10,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -121,10 +125,6 @@ struct ServingFixture {
   static HttpServerOptions MakeOptions(HttpServerOptions options) {
     options.port = 0;
     options.log_requests = false;  // Keep test output readable.
-    // Headroom over the tests' live connections: a closed client's
-    // server-side teardown can lag the next one-shot fetch on a busy
-    // runner, and the lingering connection still holds a worker slot.
-    options.threads = std::max(options.threads, 8);
     return options;
   }
 
@@ -343,7 +343,7 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   // No model needed: admission control lives below the routes.
   HttpServerOptions options;
   options.port = 0;
-  options.threads = 3;       // Room for blocker + prober connections.
+  options.threads = 2;       // A free worker answers the prober.
   options.max_inflight = 1;  // But only one request may execute.
   options.log_requests = false;
   HttpServer server(options);
@@ -383,12 +383,14 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   ASSERT_TRUE(rejected.ok());
   EXPECT_EQ(rejected->status, 429);
   EXPECT_EQ(rejected->headers.at("retry-after"), "1");
+  EXPECT_NE(rejected->body.find("\"ResourceExhausted\""), std::string::npos);
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           before)
                 .count(),
             5.0);  // Bounded: the 429 came back without waiting on the slot.
 
-  // The same keep-alive connection works again once the slot frees up.
+  // The shed request leaves its keep-alive connection open, and the same
+  // connection serves normally once the slot frees up.
   {
     std::lock_guard<std::mutex> lock(mutex);
     release_handler = true;
@@ -406,7 +408,7 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
 TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   HttpServerOptions options;
   options.port = 0;
-  options.threads = 2;  // Two live connections; the third is shed.
+  options.max_connections = 2;  // Two live connections; the third is shed.
   options.log_requests = false;
   HttpServer server(options);
   server.Handle("GET", "/ping", [](const HttpRequest&) {
@@ -420,7 +422,7 @@ TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   auto second = HttpClient::Connect(kHost, server.port());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  // Prove both connections are live (their workers are occupied).
+  // Prove both connections are live (they hold both connection slots).
   ASSERT_EQ(first->RoundTrip("GET", "/ping")->status, 200);
   ASSERT_EQ(second->RoundTrip("GET", "/ping")->status, 200);
 
@@ -863,54 +865,131 @@ TEST_F(HttpServerTest, IngestModelFieldSwapsANamedModel) {
 // ----- body cap: rejected by declared length, before any body bytes -----
 
 TEST_F(HttpServerTest, OversizedContentLengthIs413BeforeTheBodyIsSent) {
-  for (const auto io_mode :
-       {server::IoMode::kBlocking, server::IoMode::kEpoll}) {
-    HttpServerOptions options;
-    options.port = 0;
-    options.threads = 2;
-    options.io_mode = io_mode;
-    options.max_body_bytes = 1024;
-    options.log_requests = false;
-    HttpServer server(options);
-    server.Handle("POST", "/admin/ingest", [](const HttpRequest&) {
-      HttpResponse response;
-      response.body = "{}";
-      return response;
-    });
-    ASSERT_TRUE(server.Start().ok());
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.max_body_bytes = 1024;
+  options.log_requests = false;
+  HttpServer server(options);
+  server.Handle("POST", "/admin/ingest", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
 
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // An oversized ingest batch announces itself via Content-Length. The
+  // head alone (zero body bytes sent) must already draw the 413 — the
+  // parser rejects the declared length instead of buffering toward a cap
+  // it can never reach.
+  const std::string head =
+      "POST /admin/ingest HTTP/1.1\r\n"
+      "Host: test\r\n"
+      "Content-Length: 1048576\r\n"
+      "\r\n";
+  ASSERT_EQ(::send(fd, head.data(), head.size(), 0),
+            static_cast<ssize_t>(head.size()));
+  std::string response;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(response.find("413 Payload Too Large"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("\"OutOfRange\""), std::string::npos);
+  EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  server.Stop();
+}
+
+// ----- descriptor exhaustion: the accept edge still sheds -----
+
+TEST_F(HttpServerTest, AcceptEdgeShedsWhenTheProcessRunsOutOfDescriptors) {
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.log_requests = false;
+  HttpServer server(options);
+  server.Handle("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // Client sockets share this process's descriptor table with the server,
+  // so open them all before the limit drops; connect() needs no new fd.
+  constexpr int kClients = 16;
+  std::vector<int> fds;
+  for (int i = 0; i < kClients; ++i) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-    ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    // An oversized ingest batch announces itself via Content-Length. The
-    // head alone (zero body bytes sent) must already draw the 413 — the
-    // parser rejects the declared length instead of buffering toward a cap
-    // it can never reach.
-    const std::string head =
-        "POST /admin/ingest HTTP/1.1\r\n"
-        "Host: test\r\n"
-        "Content-Length: 1048576\r\n"
-        "\r\n";
-    ASSERT_EQ(::send(fd, head.data(), head.size(), 0),
-              static_cast<ssize_t>(head.size()));
-    std::string response;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-      response.append(chunk, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    EXPECT_NE(response.find("413 Payload Too Large"), std::string::npos)
-        << server::IoModeName(io_mode) << ": " << response;
-    EXPECT_NE(response.find("\"OutOfRange\""), std::string::npos);
-    EXPECT_NE(response.find("Connection: close"), std::string::npos);
-    server.Stop();
+    const timeval timeout{/*tv_sec=*/2, /*tv_usec=*/0};
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+        0);
+    fds.push_back(fd);
   }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
+  // A new descriptor must be below the soft limit: leave room for two
+  // accepts above the highest fd open now (plus any lower gaps).
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int highest = *std::max_element(fds.begin(), fds.end());
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(highest + 1 + 2);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  const std::string request = "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n";
+  std::vector<std::string> failures;
+  int ok_200 = 0;
+  int shed_429 = 0;
+  for (const int fd : fds) {
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(request.size())) {
+      failures.push_back(std::string("connect/send: ") + strerror(errno));
+    }
+  }
+  for (const int fd : fds) {
+    server::HttpStream stream(fd);
+    auto response = stream.ReadResponse(/*max_body_bytes=*/4096);
+    if (!response.ok()) {
+      failures.push_back(response.status().ToString());
+    } else if (response->status == 200) {
+      ++ok_200;
+    } else if (response->status == 429 &&
+               response->headers.count("retry-after") == 1) {
+      ++shed_429;
+    } else {
+      failures.push_back("status " + std::to_string(response->status));
+    }
+  }
+  for (const int fd : fds) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  // Every client got an answer within the receive timeout: none was left
+  // pending behind an accept the server could not complete.
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " clients failed, first: "
+      << (failures.empty() ? "" : failures.front());
+  EXPECT_EQ(ok_200 + shed_429, kClients);
+  EXPECT_GE(shed_429, 1);
+  EXPECT_GE(server.stats().connections_rejected, 1u);
+  server.Stop();
 }
 
 // ----- graceful shutdown -----

@@ -11,7 +11,9 @@
 #   4. every --flag spelled after cpd_train, cpd_serve, cpd_query,
 #      cpd_ingest or cpd_worker in README.md or docs/*.md (up to the next
 #      tool name, across backslash-continued lines) must be in that tool's
-#      kKnownFlags, so deleted flags cannot linger in the docs.
+#      kKnownFlags, and every --flag inside a `code span` anywhere in those
+#      files must be in some tool's kKnownFlags, so deleted or invented
+#      flags cannot linger in the docs.
 # Exits non-zero listing every violation.
 
 set -u
@@ -101,6 +103,7 @@ fi
 
 # ----- 4. CLI flags in the docs exist -----
 cli_tools="cpd_train cpd_serve cpd_query cpd_ingest cpd_worker"
+all_known=""
 any_tool="(?<![a-z0-9_])($(echo "$cli_tools" | tr ' ' '|'))(?![a-z0-9_])"
 for tool in $cli_tools; do
   src=tools/$tool.cc
@@ -112,6 +115,7 @@ for tool in $cli_tools; do
     failures=1
     continue
   fi
+  all_known="$all_known$known"$'\n'
   for doc in README.md docs/*.md; do
     # Join continued lines, then take each span from the tool name (as a
     # whole word) up to the next tool name or the end of the line.
@@ -125,6 +129,20 @@ for tool in $cli_tools; do
         failures=1
       fi
     done
+  done
+done
+
+# A code span need not name its tool ("`--deadline_ms`"): it must still be
+# a flag some tool accepts.
+for doc in README.md docs/*.md; do
+  flags=$(grep -oE '`[^`]+`' "$doc" | grep -oP -- '(?<![A-Za-z0-9_-])--[a-z0-9_]+' |
+          sed 's/^--//' | sort -u)
+  for flag in $flags; do
+    if ! printf '%s' "$all_known" | grep -qxF "$flag"; then
+      echo "UNKNOWN FLAG: --$flag (in a code span in $doc, not in any" \
+           "tool's kKnownFlags)"
+      failures=1
+    fi
   done
 done
 
