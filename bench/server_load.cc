@@ -343,8 +343,8 @@ void Run(int override_connections) {
   options.max_connections = std::max(2048, override_connections * 2);
   options.max_inflight = 64;
   options.log_requests = false;  // The log would dominate the bench.
-  server::HttpServer http_server(options);
   server::ServiceStats stats;
+  server::HttpServer http_server(options, stats.registry());
   server::RegisterCpdRoutes(&http_server, &registry, &stats);
   CPD_CHECK(http_server.Start().ok());
   const int port = http_server.port();

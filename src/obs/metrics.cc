@@ -263,12 +263,16 @@ std::map<std::string, uint64_t> MetricsRegistry::CounterByLabel(
   return out;
 }
 
-std::vector<std::string> MetricsRegistry::FamilyNames() const {
-  std::vector<std::string> names;
+const Histogram* MetricsRegistry::FindHistogram(const std::string& name,
+                                                const Labels& labels) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  names.reserve(families_.size());
-  for (const auto& [name, family] : families_) names.push_back(name);
-  return names;
+  const auto it = families_.find(name);
+  if (it == families_.end() || it->second.type != MetricType::kHistogram) {
+    return nullptr;
+  }
+  const auto child = it->second.children.find(RenderLabels(labels));
+  return child == it->second.children.end() ? nullptr
+                                            : child->second.histogram.get();
 }
 
 std::string MetricsRegistry::ExpositionText() const {
@@ -299,11 +303,6 @@ std::string MetricsRegistry::ExpositionText() const {
     }
   }
   return out;
-}
-
-MetricsRegistry* DefaultRegistry() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return registry;
 }
 
 }  // namespace cpd::obs

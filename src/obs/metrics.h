@@ -4,7 +4,8 @@
 /// \file metrics.h
 /// Dependency-free metrics registry: typed Counter / Gauge / Histogram
 /// handles grouped into labeled families, rendered as Prometheus text
-/// exposition (GET /metricsz) and queried for the /statsz JSON view.
+/// exposition (GET /metricsz) and read back by name for the /statsz JSON
+/// view.
 ///
 /// Design points (docs/OBSERVABILITY.md covers the operator view):
 ///   - Handles are registered once (GetCounter/GetGauge/GetHistogram take a
@@ -23,9 +24,9 @@
 ///     duration is exactly 0 and scrape output is byte-deterministic
 ///     (tests/io_mode_differential_test.cc pins this across two servers).
 ///   - A registry is an instantiable object, not a process singleton:
-///     ServiceStats owns one per server stack, so tests can build two
-///     stacks in one process and compare scrapes. DefaultRegistry() serves
-///     code without a natural owner (training counters in cpd_train).
+///     ServiceStats owns one per server stack and the stack's HttpServer
+///     records its transport counters into the same one, so tests can
+///     build two stacks in one process and compare scrapes.
 
 #include <atomic>
 #include <cstdint>
@@ -151,8 +152,10 @@ class MetricsRegistry {
   /// statsz rows; families queried this way carry exactly one label key).
   std::map<std::string, uint64_t> CounterByLabel(const std::string& name) const;
 
-  /// Registered family names (sorted) — the docs-coverage check and tests.
-  std::vector<std::string> FamilyNames() const;
+  /// The histogram child `name{labels}`, or null when it is not
+  /// registered (or `name` is not a histogram family).
+  const Histogram* FindHistogram(const std::string& name,
+                                 const Labels& labels) const;
 
   /// Prometheus text exposition of every family, names sorted, children
   /// label-sorted. Deterministic bytes for deterministic metric values.
@@ -177,10 +180,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
 };
-
-/// Process-global registry for instrumentation without a natural owner
-/// (training-side counters); server stacks use ServiceStats' own registry.
-MetricsRegistry* DefaultRegistry();
 
 }  // namespace cpd::obs
 

@@ -37,13 +37,67 @@ std::vector<std::string> SplitPath(const std::string& path) {
   return segments;
 }
 
+/// Indices into kTransportCounters (and HttpServer::counters_).
+enum TransportCounterId {
+  kConnectionsAccepted,
+  kConnectionsRejected,
+  kRequests,
+  kResponses2xx,
+  kResponses4xx,
+  kResponses5xx,
+  kRejected429,
+  kDeadline504,
+};
+
+constexpr char kResponsesFamily[] = "cpd_http_responses_total";
+constexpr char kResponsesHelp[] = "Responses written, by status class.";
+
+constexpr TransportCounter kTransportCounters[] = {
+    {"connections_accepted", "cpd_http_connections_accepted_total",
+     "Connections accepted by the listener.", nullptr},
+    {"connections_rejected", "cpd_http_connections_rejected_total",
+     "Connections shed at the accept edge (429-and-close).", nullptr},
+    {"requests", "cpd_http_requests_total",
+     "Well-framed requests read off connections.", nullptr},
+    {"responses_2xx", kResponsesFamily, kResponsesHelp, "2xx"},
+    // 4xx includes admission 429s; 5xx includes deadline 504s.
+    {"responses_4xx", kResponsesFamily, kResponsesHelp, "4xx"},
+    {"responses_5xx", kResponsesFamily, kResponsesHelp, "5xx"},
+    {"rejected_429", "cpd_http_rejected_429_total",
+     "Requests shed by the inflight admission cap.", nullptr},
+    {"deadline_504", "cpd_http_deadline_504_total",
+     "Requests failed by the server deadline.", nullptr},
+};
+
+constexpr char kRequestStageFamily[] = "cpd_request_stage_us";
+constexpr char kRequestStageHelp[] =
+    "Transport-side request stages (no query type), microseconds.";
+
 }  // namespace
 
-HttpServer::HttpServer(HttpServerOptions options)
-    : options_(std::move(options)) {
+std::span<const TransportCounter> TransportCounters() {
+  return kTransportCounters;
+}
+
+HttpServer::HttpServer(HttpServerOptions options,
+                       obs::MetricsRegistry* metrics)
+    : options_(std::move(options)), metrics_(metrics) {
+  CPD_CHECK(metrics_ != nullptr);
   if (options_.threads < 1) options_.threads = 1;
   if (options_.max_connections < 1) options_.max_connections = 1;
   if (options_.max_inflight < 1) options_.max_inflight = 1;
+  for (const TransportCounter& counter : kTransportCounters) {
+    obs::Labels labels;
+    if (counter.response_class != nullptr) {
+      labels.emplace_back("class", counter.response_class);
+    }
+    counters_.push_back(
+        metrics_->GetCounter(counter.family, counter.help, labels));
+  }
+  queue_wait_us_ = metrics_->GetHistogram(
+      kRequestStageFamily, kRequestStageHelp, {{"stage", "queue_wait"}});
+  write_us_ = metrics_->GetHistogram(kRequestStageFamily, kRequestStageHelp,
+                                     {{"stage", "write"}});
 }
 
 HttpServer::~HttpServer() { Stop(); }
@@ -151,7 +205,7 @@ HttpResponse HttpServer::Dispatch(HttpRequest* request) {
   int inflight = inflight_.load(std::memory_order_relaxed);
   do {
     if (inflight >= options_.max_inflight) {
-      rejected_429_.fetch_add(1, std::memory_order_relaxed);
+      counters_[kRejected429]->Increment();
       HttpResponse shed = Render429();
       shed.headers["X-Request-Id"] = request->trace_id;
       return shed;
@@ -174,7 +228,7 @@ HttpResponse HttpServer::Dispatch(HttpRequest* request) {
   if (options_.deadline_ms > 0) {
     const double elapsed_ms = ElapsedMicros(start) / 1000.0;
     if (elapsed_ms > options_.deadline_ms) {
-      deadline_504_.fetch_add(1, std::memory_order_relaxed);
+      counters_[kDeadline504]->Increment();
       response = MakeErrorResponse(
           504, Status::DeadlineExceeded(
                    StrFormat("request exceeded the %d ms deadline",
@@ -214,7 +268,7 @@ const HttpServer::Route* HttpServer::MatchRoute(
 }
 
 void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  counters_[kRequests]->Increment();
   const int64_t received_us = obs::NowMicros();
   // The event loop must never block on a handler: route the request onto a
   // worker and post the response back to the loop when it is ready.
@@ -223,7 +277,7 @@ void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
     // Queue wait: parsed-on-the-loop to picked-up-by-a-worker.
     request.timing.queue_us =
         static_cast<double>(obs::NowMicros() - received_us);
-    RecordStage("queue_wait", request.timing.queue_us);
+    queue_wait_us_->Record(request.timing.queue_us);
     const HttpResponse response = Dispatch(&request);
     CountResponse(response.status);
     const bool keep_alive =
@@ -235,11 +289,7 @@ void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
 }
 
 void HttpServer::OnResponseWritten(double micros) {
-  RecordStage("write", micros);
-}
-
-void HttpServer::RecordStage(const char* stage, double micros) {
-  if (stage_recorder_) stage_recorder_(stage, micros);
+  write_us_->Record(micros);
 }
 
 void HttpServer::LogRequest(const HttpRequest& request,
@@ -269,7 +319,7 @@ void HttpServer::LogRequest(const HttpRequest& request,
 }
 
 HttpResponse HttpServer::OnConnectionShed() {
-  connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+  counters_[kConnectionsRejected]->Increment();
   return Render429();
 }
 
@@ -281,17 +331,14 @@ HttpResponse HttpServer::OnFramingError(const Status& error,
 }
 
 void HttpServer::OnConnectionAccepted() {
-  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+  counters_[kConnectionsAccepted]->Increment();
 }
 
 void HttpServer::CountResponse(int status) {
-  if (status < 300) {
-    responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status < 500) {
-    responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
+  counters_[status < 300   ? kResponses2xx
+            : status < 500 ? kResponses4xx
+                           : kResponses5xx]
+      ->Increment();
 }
 
 void HttpServer::Stop() {
@@ -305,22 +352,7 @@ void HttpServer::Stop() {
   pool_.reset();
   event_loop_.reset();
   CPD_LOG(Info) << "server on port " << port_ << " stopped ("
-                << requests_.load() << " requests served)";
-}
-
-HttpServerStats HttpServer::stats() const {
-  HttpServerStats stats;
-  stats.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.responses_2xx = responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = responses_5xx_.load(std::memory_order_relaxed);
-  stats.rejected_429 = rejected_429_.load(std::memory_order_relaxed);
-  stats.deadline_504 = deadline_504_.load(std::memory_order_relaxed);
-  return stats;
+                << counters_[kRequests]->value() << " requests served)";
 }
 
 }  // namespace cpd::server

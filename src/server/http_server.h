@@ -24,6 +24,12 @@
 /// Every non-2xx body this layer renders is the unified error envelope
 /// (MakeErrorResponse in server/http.h).
 ///
+/// Metrics: the server is constructed on a registry (the ServiceStats one,
+/// in a CPD stack) and records every transport counter (TransportCounters()
+/// below) and cpd_request_stage_us{stage=queue_wait|write} there, so
+/// /metricsz and /statsz read the transport from the same source as the
+/// service numbers.
+///
 /// Routing: exact segments or "{param}" captures ("/v1/membership/{user}"),
 /// matched per-method; handlers run on worker threads and must be
 /// thread-safe. This layer knows nothing about models — src/server/json_api
@@ -34,9 +40,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "server/event_loop.h"
 #include "server/http.h"
 #include "util/status.h"
@@ -65,23 +73,27 @@ struct HttpServerOptions {
   int64_t slow_request_us = 0;
 };
 
-/// Monotonic counters, readable while serving (statsz).
-struct HttpServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  ///< 429 at the accept edge.
-  uint64_t requests = 0;              ///< Requests parsed off a connection.
-  uint64_t responses_2xx = 0;
-  uint64_t responses_4xx = 0;         ///< Includes admission 429s.
-  uint64_t responses_5xx = 0;         ///< Includes deadline 504s.
-  uint64_t rejected_429 = 0;          ///< Request-level admission rejections.
-  uint64_t deadline_504 = 0;
+/// One transport counter HttpServer keeps in its metrics registry: the
+/// /statsz "server" field it is read back as, its family, its HELP text,
+/// and (for the cpd_http_responses_total children) its class label.
+struct TransportCounter {
+  const char* field;
+  const char* family;
+  const char* help;
+  const char* response_class;  ///< nullptr: the family has no labels.
 };
+
+/// The transport counters, in /statsz "server" order.
+std::span<const TransportCounter> TransportCounters();
 
 class HttpServer : private EventLoopHandler {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  explicit HttpServer(HttpServerOptions options);
+  /// `metrics` (non-null, outliving the server) receives every transport
+  /// counter and the cpd_request_stage_us{stage=queue_wait|write}
+  /// histogram; a server stack shares it with its ServiceStats.
+  HttpServer(HttpServerOptions options, obs::MetricsRegistry* metrics);
   ~HttpServer();  ///< Calls Stop().
 
   HttpServer(const HttpServer&) = delete;
@@ -105,15 +117,7 @@ class HttpServer : private EventLoopHandler {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  HttpServerStats stats() const;
-
-  /// Sink for transport-side stage durations ("queue_wait", "write" — see
-  /// ServiceStats::kRequestStageNames), microseconds. json_api wires this
-  /// to the metrics registry; null (the default) drops the samples. Call
-  /// before Start(); the callback must be thread-safe.
-  void SetStageRecorder(std::function<void(const char*, double)> recorder) {
-    stage_recorder_ = std::move(recorder);
-  }
+  obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
   struct Route {
@@ -139,8 +143,6 @@ class HttpServer : private EventLoopHandler {
   void OnConnectionAccepted() override;
   void OnResponseWritten(double micros) override;
 
-  /// Records one transport stage sample if a recorder is set.
-  void RecordStage(const char* stage, double micros);
   /// The access-log line (+ slow-request Warning when the request exceeded
   /// options_.slow_request_us).
   void LogRequest(const HttpRequest& request, const HttpResponse& response,
@@ -148,7 +150,11 @@ class HttpServer : private EventLoopHandler {
 
   HttpServerOptions options_;
   std::vector<Route> routes_;
-  std::function<void(const char*, double)> stage_recorder_;
+  obs::MetricsRegistry* metrics_;
+  /// Handles into metrics_, indexed like TransportCounters().
+  std::vector<obs::Counter*> counters_;
+  obs::Histogram* queue_wait_us_;
+  obs::Histogram* write_us_;
   std::atomic<uint64_t> next_trace_id_{0};
 
   int listen_fd_ = -1;
@@ -160,15 +166,6 @@ class HttpServer : private EventLoopHandler {
   std::atomic<bool> stopping_{false};
   std::atomic<int> inflight_{0};
 
-  // Counters (relaxed atomics; stats() snapshots them).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> responses_2xx_{0};
-  std::atomic<uint64_t> responses_4xx_{0};
-  std::atomic<uint64_t> responses_5xx_{0};
-  std::atomic<uint64_t> rejected_429_{0};
-  std::atomic<uint64_t> deadline_504_{0};
 };
 
 }  // namespace cpd::server

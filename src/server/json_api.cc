@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include "ingest/ingest_pipeline.h"
 #include "ingest/update_batch.h"
 #include "obs/clock.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace cpd::server {
@@ -150,42 +152,69 @@ StatusOr<serve::TopUsersRequest> TopUsersFromJson(const Json& json) {
 
 namespace {
 
-// Registry-owned family names + help text (statsz reads back through these;
-// docs/OBSERVABILITY.md catalogs every name — check_docs.sh enforces it).
-constexpr char kQueriesFamily[] = "cpd_service_queries_total";
-constexpr char kQueriesHelp[] = "Single queries answered OK, per model.";
-constexpr char kBatchQueriesFamily[] = "cpd_service_batch_queries_total";
-constexpr char kBatchQueriesHelp[] =
-    "Requests answered inside client batches, per model.";
-constexpr char kQueryErrorsFamily[] = "cpd_service_query_errors_total";
-constexpr char kQueryErrorsHelp[] = "Typed per-query failures, per model.";
+/// One service counter family and the /statsz field it is read back as
+/// (docs/OBSERVABILITY.md catalogs every family; check_docs.sh enforces it).
+struct CounterField {
+  const char* field;
+  const char* family;
+  const char* help;
+};
+
+/// The {model}-labelled query counters: /statsz "service" sums them over
+/// models, and each "models" row reads its own child.
+enum QueryCounterId { kQueries, kBatchQueries, kQueryErrors };
+constexpr CounterField kQueryCounters[] = {
+    {"queries", "cpd_service_queries_total",
+     "Single queries answered OK, per model."},
+    {"batch_queries", "cpd_service_batch_queries_total",
+     "Requests answered inside client batches, per model."},
+    {"query_errors", "cpd_service_query_errors_total",
+     "Typed per-query failures, per model."},
+};
+
+/// The ingest counters, in /statsz "service" order.
+enum IngestCounterId {
+  kIngests,
+  kIngestFailures,
+  kIngestedDocuments,
+  kIngestedUsers,
+  kIngestedLinks,
+};
+constexpr CounterField kIngestCounters[] = {
+    {"ingests", "cpd_service_ingests_total",
+     "Ingest batches applied and swapped in."},
+    {"ingest_failures", "cpd_service_ingest_failures_total",
+     "Rejected or failed ingest batches."},
+    {"ingested_documents", "cpd_service_ingested_documents_total",
+     "Documents added by ingest."},
+    {"ingested_users", "cpd_service_ingested_users_total",
+     "Users added by ingest."},
+    {"ingested_links", "cpd_service_ingested_links_total",
+     "Friendships plus diffusion links added by ingest."},
+};
+
+constexpr char kLatencyFamily[] = "cpd_query_latency_us";
+
+obs::Counter* GetCounter(obs::MetricsRegistry* registry,
+                         const CounterField& counter,
+                         const obs::Labels& labels = {}) {
+  return registry->GetCounter(counter.family, counter.help, labels);
+}
 
 }  // namespace
 
 ServiceStats::ServiceStats() {
   // Pre-create the default model's children so a fresh scrape shows the
   // full catalog at zero instead of omitting untouched families.
-  registry_.GetCounter(kQueriesFamily, kQueriesHelp,
-                       {{"model", kDefaultModel}});
-  registry_.GetCounter(kBatchQueriesFamily, kBatchQueriesHelp,
-                       {{"model", kDefaultModel}});
-  registry_.GetCounter(kQueryErrorsFamily, kQueryErrorsHelp,
-                       {{"model", kDefaultModel}});
-  ingests_ = registry_.GetCounter("cpd_service_ingests_total",
-                                  "Ingest batches applied and swapped in.");
-  ingest_failures_ =
-      registry_.GetCounter("cpd_service_ingest_failures_total",
-                           "Rejected or failed ingest batches.");
-  ingested_documents_ = registry_.GetCounter(
-      "cpd_service_ingested_documents_total", "Documents added by ingest.");
-  ingested_users_ = registry_.GetCounter("cpd_service_ingested_users_total",
-                                         "Users added by ingest.");
-  ingested_links_ =
-      registry_.GetCounter("cpd_service_ingested_links_total",
-                           "Friendships plus diffusion links added by ingest.");
+  for (const CounterField& counter : kQueryCounters) {
+    GetCounter(&registry_, counter, {{"model", kDefaultModel}});
+  }
+  for (const CounterField& counter : kIngestCounters) {
+    GetCounter(&registry_, counter);
+  }
   for (size_t type = 0; type < kNumQueryTypes; ++type) {
     latency_[type] = registry_.GetHistogram(
-        "cpd_query_latency_us",
+        kLatencyFamily,
         "Handler-side service time of one successful query, microseconds.",
         {{"query_type", kQueryTypeNames[type]}});
     for (size_t stage = 0; stage < kNumQueryStages; ++stage) {
@@ -196,117 +225,45 @@ ServiceStats::ServiceStats() {
            {"stage", kQueryStageNames[stage]}});
     }
   }
-  for (size_t stage = 0; stage < kNumRequestStages; ++stage) {
-    request_stage_[stage] = registry_.GetHistogram(
-        "cpd_request_stage_us",
-        "Transport-side request stages (no query type), microseconds.",
-        {{"stage", kRequestStageNames[stage]}});
-  }
 }
 
 void ServiceStats::CountQuery(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_.GetCounter(kQueriesFamily, kQueriesHelp, {{"model", model}})
+  GetCounter(&registry_, kQueryCounters[kQueries], {{"model", model}})
       ->Increment();
 }
 
 void ServiceStats::CountBatchQuery(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_
-      .GetCounter(kBatchQueriesFamily, kBatchQueriesHelp, {{"model", model}})
+  GetCounter(&registry_, kQueryCounters[kBatchQueries], {{"model", model}})
       ->Increment();
 }
 
 void ServiceStats::CountQueryError(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_
-      .GetCounter(kQueryErrorsFamily, kQueryErrorsHelp, {{"model", model}})
+  GetCounter(&registry_, kQueryCounters[kQueryErrors], {{"model", model}})
       ->Increment();
 }
 
 void ServiceStats::CountIngestSuccess(uint64_t documents, uint64_t users,
                                       uint64_t links) {
-  if (!metrics_enabled()) return;
-  ingests_->Increment();
-  ingested_documents_->Increment(documents);
-  ingested_users_->Increment(users);
-  ingested_links_->Increment(links);
+  GetCounter(&registry_, kIngestCounters[kIngests])->Increment();
+  GetCounter(&registry_, kIngestCounters[kIngestedDocuments])
+      ->Increment(documents);
+  GetCounter(&registry_, kIngestCounters[kIngestedUsers])->Increment(users);
+  GetCounter(&registry_, kIngestCounters[kIngestedLinks])->Increment(links);
 }
 
 void ServiceStats::CountIngestFailure() {
-  if (!metrics_enabled()) return;
-  ingest_failures_->Increment();
-}
-
-uint64_t ServiceStats::queries() const {
-  return registry_.CounterTotal(kQueriesFamily);
-}
-uint64_t ServiceStats::batch_queries() const {
-  return registry_.CounterTotal(kBatchQueriesFamily);
-}
-uint64_t ServiceStats::query_errors() const {
-  return registry_.CounterTotal(kQueryErrorsFamily);
-}
-uint64_t ServiceStats::ingests() const { return ingests_->value(); }
-uint64_t ServiceStats::ingest_failures() const {
-  return ingest_failures_->value();
-}
-uint64_t ServiceStats::ingested_documents() const {
-  return ingested_documents_->value();
-}
-uint64_t ServiceStats::ingested_users() const {
-  return ingested_users_->value();
-}
-uint64_t ServiceStats::ingested_links() const {
-  return ingested_links_->value();
-}
-
-std::map<std::string, ServiceStats::ModelCounters> ServiceStats::PerModel()
-    const {
-  std::map<std::string, ModelCounters> out;
-  for (const auto& [model, value] : registry_.CounterByLabel(kQueriesFamily)) {
-    out[model].queries = value;
-  }
-  for (const auto& [model, value] :
-       registry_.CounterByLabel(kBatchQueriesFamily)) {
-    out[model].batch_queries = value;
-  }
-  for (const auto& [model, value] :
-       registry_.CounterByLabel(kQueryErrorsFamily)) {
-    out[model].query_errors = value;
-  }
-  return out;
+  GetCounter(&registry_, kIngestCounters[kIngestFailures])->Increment();
 }
 
 void ServiceStats::RecordLatency(size_t type, double micros) {
-  if (type >= kNumQueryTypes || !metrics_enabled()) return;
+  if (type >= kNumQueryTypes) return;
   latency_[type]->Record(micros);
-}
-
-ServiceStats::LatencySummary ServiceStats::LatencyFor(size_t type) const {
-  LatencySummary summary;
-  if (type >= kNumQueryTypes) return summary;
-  const obs::Histogram::Snapshot snapshot = latency_[type]->Snap();
-  summary.count = snapshot.count;
-  summary.p50_us = snapshot.Percentile(0.5);
-  summary.p99_us = snapshot.Percentile(0.99);
-  return summary;
 }
 
 void ServiceStats::RecordQueryStage(size_t type, QueryStage stage,
                                     double micros) {
-  if (type >= kNumQueryTypes || !metrics_enabled()) return;
+  if (type >= kNumQueryTypes) return;
   query_stage_[type][static_cast<size_t>(stage)]->Record(micros);
-}
-
-void ServiceStats::RecordRequestStage(const char* stage, double micros) {
-  if (!metrics_enabled()) return;
-  for (size_t s = 0; s < kNumRequestStages; ++s) {
-    if (std::string_view(stage) == kRequestStageNames[s]) {
-      request_stage_[s]->Record(micros);
-      return;
-    }
-  }
 }
 
 int HttpStatusForCode(StatusCode code) {
@@ -661,43 +618,51 @@ HttpResponse HandleHealthz(ModelRegistry* registry) {
   return JsonResponse(200, out);
 }
 
-HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
-                          const ServiceStats* stats) {
-  const HttpServerStats transport = server->stats();
+/// GET /statsz: every counter and latency row is read back from the
+/// stack's metrics registry (the one /metricsz renders) under the original
+/// field names; "reloads", "model" and "models" come from the
+/// ModelRegistry.
+HttpResponse HandleStatsz(ModelRegistry* registry, const ServiceStats* stats) {
+  const obs::MetricsRegistry& metrics = *stats->registry();
+  const auto child = [](const std::map<std::string, uint64_t>& by_label,
+                        const std::string& label) {
+    const auto it = by_label.find(label);
+    return Json(it == by_label.end() ? uint64_t{0} : it->second);
+  };
+
   Json server_json = Json::MakeObject();
-  server_json.Set("connections_accepted", Json(transport.connections_accepted));
-  server_json.Set("connections_rejected", Json(transport.connections_rejected));
-  server_json.Set("requests", Json(transport.requests));
-  server_json.Set("responses_2xx", Json(transport.responses_2xx));
-  server_json.Set("responses_4xx", Json(transport.responses_4xx));
-  server_json.Set("responses_5xx", Json(transport.responses_5xx));
-  server_json.Set("rejected_429", Json(transport.rejected_429));
-  server_json.Set("deadline_504", Json(transport.deadline_504));
+  for (const TransportCounter& counter : TransportCounters()) {
+    server_json.Set(counter.field,
+                    counter.response_class == nullptr
+                        ? Json(metrics.CounterTotal(counter.family))
+                        : child(metrics.CounterByLabel(counter.family),
+                                counter.response_class));
+  }
 
   Json service_json = Json::MakeObject();
-  service_json.Set("queries", Json(stats->queries()));
-  service_json.Set("batch_queries", Json(stats->batch_queries()));
-  service_json.Set("query_errors", Json(stats->query_errors()));
+  for (const CounterField& counter : kQueryCounters) {
+    service_json.Set(counter.field, Json(metrics.CounterTotal(counter.family)));
+  }
   service_json.Set("reloads", Json(registry->reload_count()));
   service_json.Set("reload_failures", Json(registry->reload_failures()));
-
-  service_json.Set("ingests", Json(stats->ingests()));
-  service_json.Set("ingest_failures", Json(stats->ingest_failures()));
-  service_json.Set("ingested_documents", Json(stats->ingested_documents()));
-  service_json.Set("ingested_users", Json(stats->ingested_users()));
-  service_json.Set("ingested_links", Json(stats->ingested_links()));
+  for (const CounterField& counter : kIngestCounters) {
+    service_json.Set(counter.field, Json(metrics.CounterTotal(counter.family)));
+  }
 
   // Per-query-type service latency (what bench_query measures client-side):
   // lifetime counts, histogram-reconstructed p50/p99 microseconds (same
   // buckets /metricsz exposes; <= ~5% relative error).
   Json latency_json = Json::MakeObject();
-  for (size_t type = 0; type < ServiceStats::kNumQueryTypes; ++type) {
-    const ServiceStats::LatencySummary summary = stats->LatencyFor(type);
+  for (const char* type : ServiceStats::kQueryTypeNames) {
+    const obs::Histogram* histogram =
+        metrics.FindHistogram(kLatencyFamily, {{"query_type", type}});
+    CPD_CHECK(histogram != nullptr);  // Registered by ServiceStats().
+    const obs::Histogram::Snapshot snapshot = histogram->Snap();
     Json row = Json::MakeObject();
-    row.Set("count", Json(summary.count));
-    row.Set("p50_us", Json(summary.p50_us));
-    row.Set("p99_us", Json(summary.p99_us));
-    latency_json.Set(ServiceStats::kQueryTypeNames[type], std::move(row));
+    row.Set("count", Json(snapshot.count));
+    row.Set("p50_us", Json(snapshot.Percentile(0.5)));
+    row.Set("p99_us", Json(snapshot.Percentile(0.99)));
+    latency_json.Set(type, std::move(row));
   }
   service_json.Set("latency", std::move(latency_json));
 
@@ -722,20 +687,19 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
 
   // Per-model counters: one row per registered model, joined with the
   // per-name query counters.
-  const std::map<std::string, ServiceStats::ModelCounters> counters =
-      stats->PerModel();
+  std::vector<std::map<std::string, uint64_t>> per_model;
+  for (const CounterField& counter : kQueryCounters) {
+    per_model.push_back(metrics.CounterByLabel(counter.family));
+  }
   Json models_json = Json::MakeObject();
   for (const ModelInfo& info : registry->ListModels()) {
     Json row = Json::MakeObject();
     row.Set("generation", Json(info.generation));
     row.Set("path", Json(info.path));
     row.Set("loaded_unix_ms", Json(info.loaded_unix_ms));
-    const auto it = counters.find(info.name);
-    const ServiceStats::ModelCounters row_counts =
-        it == counters.end() ? ServiceStats::ModelCounters{} : it->second;
-    row.Set("queries", Json(row_counts.queries));
-    row.Set("batch_queries", Json(row_counts.batch_queries));
-    row.Set("query_errors", Json(row_counts.query_errors));
+    for (size_t i = 0; i < per_model.size(); ++i) {
+      row.Set(kQueryCounters[i].field, child(per_model[i], info.name));
+    }
     models_json.Set(info.name, std::move(row));
   }
   out.Set("models", std::move(models_json));
@@ -743,51 +707,13 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
   return JsonResponse(200, out);
 }
 
-/// GET /metricsz: Prometheus text exposition. The ServiceStats registry
-/// renders itself; transport (HttpServerStats) and model-registry numbers
-/// live in their own structs and are synthesized into families here at
-/// scrape time — same sources /statsz reads, same scrape
-/// consistency (counters are independently relaxed either way).
-HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
+/// GET /metricsz: Prometheus text exposition of the stack's metrics
+/// registry (transport and service families), plus the model-registry
+/// families, which are the ModelRegistry's own state and are rendered at
+/// scrape time.
+HttpResponse HandleMetricsz(ModelRegistry* registry,
                             const ServiceStats* stats) {
   std::string out = stats->registry()->ExpositionText();
-
-  const HttpServerStats transport = server->stats();
-  obs::AppendExpositionHeader(&out, "cpd_http_connections_accepted_total",
-                              "Connections accepted by the listener.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_connections_accepted_total", {},
-                        static_cast<double>(transport.connections_accepted));
-  obs::AppendExpositionHeader(
-      &out, "cpd_http_connections_rejected_total",
-      "Connections shed at the accept edge (429-and-close).", "counter");
-  obs::AppendSampleLine(&out, "cpd_http_connections_rejected_total", {},
-                        static_cast<double>(transport.connections_rejected));
-  obs::AppendExpositionHeader(&out, "cpd_http_requests_total",
-                              "Well-framed requests read off connections.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_requests_total", {},
-                        static_cast<double>(transport.requests));
-  obs::AppendExpositionHeader(&out, "cpd_http_responses_total",
-                              "Responses written, by status class.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "2xx"}},
-                        static_cast<double>(transport.responses_2xx));
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "4xx"}},
-                        static_cast<double>(transport.responses_4xx));
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "5xx"}},
-                        static_cast<double>(transport.responses_5xx));
-  obs::AppendExpositionHeader(&out, "cpd_http_rejected_429_total",
-                              "Requests shed by the inflight admission cap.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_rejected_429_total", {},
-                        static_cast<double>(transport.rejected_429));
-  obs::AppendExpositionHeader(&out, "cpd_http_deadline_504_total",
-                              "Requests failed by the server deadline.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_deadline_504_total", {},
-                        static_cast<double>(transport.deadline_504));
-
   obs::AppendExpositionHeader(&out, "cpd_model_reloads_total",
                               "Successful model loads and hot-swaps.",
                               "counter");
@@ -981,6 +907,9 @@ HttpResponse HandleIngest(const HttpRequest& http_request,
 
 void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
                        ServiceStats* stats, ingest::IngestPipeline* pipeline) {
+  // One metrics source per stack: the transport records where /statsz and
+  // /metricsz read.
+  CPD_CHECK(server->metrics() == stats->registry());
   server->Handle("POST", "/v1/query",
                  [registry, stats](const HttpRequest& request) {
                    return HandleQuery(request, registry, stats);
@@ -1003,14 +932,12 @@ void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
   server->Handle("GET", "/healthz", [registry](const HttpRequest&) {
     return HandleHealthz(registry);
   });
-  server->Handle("GET", "/statsz",
-                 [server, registry, stats](const HttpRequest&) {
-                   return HandleStatsz(server, registry, stats);
-                 });
-  server->Handle("GET", "/metricsz",
-                 [server, registry, stats](const HttpRequest&) {
-                   return HandleMetricsz(server, registry, stats);
-                 });
+  server->Handle("GET", "/statsz", [registry, stats](const HttpRequest&) {
+    return HandleStatsz(registry, stats);
+  });
+  server->Handle("GET", "/metricsz", [registry, stats](const HttpRequest&) {
+    return HandleMetricsz(registry, stats);
+  });
   server->Handle("POST", "/admin/reload",
                  [registry](const HttpRequest& request) {
                    return HandleReload(request, registry);
@@ -1019,11 +946,6 @@ void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
                  [registry, stats, pipeline](const HttpRequest& request) {
                    return HandleIngest(request, registry, stats, pipeline);
                  });
-  // Transport-side stage samples (queue_wait, write) land in the same
-  // registry the handlers record into.
-  server->SetStageRecorder([stats](const char* stage, double micros) {
-    stats->RecordRequestStage(stage, micros);
-  });
 }
 
 }  // namespace cpd::server

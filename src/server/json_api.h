@@ -34,8 +34,9 @@
 ///   GET  /v1/models/{model}/membership/{user} shortcut on a named model
 ///   GET  /healthz               serving generation + model liveness
 ///   GET  /statsz                transport + service + per-model counters,
-///                               per-query-type latency p50/p99
-///   GET  /metricsz              the same numbers (plus per-stage latency
+///                               per-query-type latency p50/p99, read from
+///                               the stack's metrics registry
+///   GET  /metricsz              that registry (plus per-stage latency
 ///                               histograms) as Prometheus text exposition
 ///                               (docs/OBSERVABILITY.md is the catalog)
 ///   POST /admin/reload          hot-swap: re-read the artifact (optional
@@ -50,9 +51,7 @@
 ///                               downtime. 409 when the server runs without
 ///                               an ingest pipeline.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -69,19 +68,18 @@ class IngestPipeline;
 
 namespace cpd::server {
 
-/// Service-level counters and latency/stage histograms, all backed by an
-/// owned obs::MetricsRegistry (the transport counters live in
-/// HttpServerStats and are folded into /metricsz at scrape time). The
-/// registry is per-stats-object, not process-global, so two server stacks
-/// in one process scrape independently.
+/// Service-level counters and latency/stage histograms, recorded into an
+/// owned obs::MetricsRegistry. That registry is the server stack's one
+/// metrics source: the stack's HttpServer is constructed on it and records
+/// its transport counters there too. It is per-stats-object, not
+/// process-global, so two server stacks in one process scrape
+/// independently.
 ///
-/// /statsz renders these through the accessors below with its original
-/// field names; /metricsz renders registry->ExpositionText() directly.
-/// Latency percentiles come from fixed log-bucket histograms (<= ~5%
-/// relative error, see obs/metrics.h) instead of the old 2048-sample ring:
-/// the ring's racy window sampling made scrapes nondeterministic, the
-/// histogram's relaxed bucket counts are exact and, under a frozen
-/// obs::Clock, byte-deterministic.
+/// /metricsz renders registry()->ExpositionText(); /statsz reads the same
+/// families back by name under its original field names. Latency
+/// percentiles come from fixed log-bucket histograms (<= ~5% relative
+/// error, see obs/metrics.h): relaxed bucket counts are exact and, under a
+/// frozen obs::Clock, byte-deterministic.
 class ServiceStats {
  public:
   /// Type index = the QueryRequest variant index.
@@ -96,34 +94,12 @@ class ServiceStats {
   static constexpr const char* kQueryStageNames[kNumQueryStages] = {
       "parse", "scoring", "serialize"};
 
-  /// Transport-side stages recorded by HttpServer's stage-recorder hook,
-  /// where the query type is unknown (cpd_request_stage_us{stage}).
-  static constexpr size_t kNumRequestStages = 2;
-  static constexpr const char* kRequestStageNames[kNumRequestStages] = {
-      "queue_wait", "write"};
-
   ServiceStats();
   ServiceStats(const ServiceStats&) = delete;
   ServiceStats& operator=(const ServiceStats&) = delete;
 
   obs::MetricsRegistry* registry() { return &registry_; }
   const obs::MetricsRegistry* registry() const { return &registry_; }
-
-  /// --metrics off: every Count*/Record* becomes a no-op (scrapes render
-  /// zeros). bench_obs pins the instrumented-vs-off throughput delta.
-  void set_metrics_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool metrics_enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-model query counters, keyed by registry name.
-  struct ModelCounters {
-    uint64_t queries = 0;
-    uint64_t batch_queries = 0;
-    uint64_t query_errors = 0;
-  };
 
   /// Bumps the {model}-labeled counter child (aggregates are computed at
   /// scrape by summing children).
@@ -135,46 +111,17 @@ class ServiceStats {
   void CountIngestSuccess(uint64_t documents, uint64_t users, uint64_t links);
   void CountIngestFailure();
 
-  // ----- statsz aggregate reads (wire field names unchanged) -----
-  uint64_t queries() const;        ///< Single queries answered OK.
-  uint64_t batch_queries() const;  ///< Requests inside batches.
-  uint64_t query_errors() const;   ///< Typed per-query failures.
-  uint64_t ingests() const;        ///< Batches applied + swapped.
-  uint64_t ingest_failures() const;
-  uint64_t ingested_documents() const;
-  uint64_t ingested_users() const;
-  uint64_t ingested_links() const;  ///< Friendships + diffusions.
-
-  /// Snapshot of the per-model rows (name-sorted).
-  std::map<std::string, ModelCounters> PerModel() const;
-
-  struct LatencySummary {
-    uint64_t count = 0;   ///< Samples ever recorded for the type.
-    double p50_us = 0.0;  ///< Histogram-reconstructed (<= ~5% rel. error).
-    double p99_us = 0.0;
-  };
-
-  /// Records one successful query's service time (handler-side, excludes
-  /// transport). `type` out of range is ignored.
+  /// Records one successful query's scoring time (excludes JSON decode and
+  /// encode, and transport). `type` out of range is ignored.
   void RecordLatency(size_t type, double micros);
-  LatencySummary LatencyFor(size_t type) const;
-
   void RecordQueryStage(size_t type, QueryStage stage, double micros);
-  /// `stage` must be one of kRequestStageNames (unknown names are dropped).
-  void RecordRequestStage(const char* stage, double micros);
 
  private:
   obs::MetricsRegistry registry_;
-  std::atomic<bool> enabled_{true};
-  // Handles registered once in the constructor; Record* is lock-free.
-  obs::Counter* ingests_;
-  obs::Counter* ingest_failures_;
-  obs::Counter* ingested_documents_;
-  obs::Counter* ingested_users_;
-  obs::Counter* ingested_links_;
+  // Histogram handles registered once in the constructor; Record* is
+  // lock-free.
   obs::Histogram* latency_[kNumQueryTypes];
   obs::Histogram* query_stage_[kNumQueryTypes][kNumQueryStages];
-  obs::Histogram* request_stage_[kNumRequestStages];
 };
 
 /// HTTP status for a typed error (InvalidArgument -> 400, NotFound /
@@ -197,7 +144,8 @@ Json QueryRequestToJson(const serve::QueryRequest& request);
 /// Encodes a typed response exactly as the HTTP endpoints do.
 Json QueryResponseToJson(const serve::QueryResponse& response);
 
-/// Registers every CPD endpoint on `server`. The registry, stats, and (when
+/// Registers every CPD endpoint on `server`, which must have been
+/// constructed on `stats->registry()`. The registry, stats, and (when
 /// given) pipeline must outlive the server; the registry must already hold
 /// a model (handlers answer 503 otherwise). `pipeline` enables
 /// POST /admin/ingest — null keeps the route registered but answering 409

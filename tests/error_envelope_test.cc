@@ -99,8 +99,8 @@ TEST_F(ErrorEnvelopeTest, EveryTypedHandlerErrorUsesTheEnvelope) {
   options.port = 0;
   options.threads = 8;
   options.log_requests = false;
-  HttpServer server(options);
   server::ServiceStats stats;
+  HttpServer server(options, stats.registry());
   server::RegisterCpdRoutes(&server, &registry, &stats);
   ASSERT_TRUE(server.Start().ok());
 
@@ -162,8 +162,8 @@ TEST_F(ErrorEnvelopeTest, EmptyRegistryAnswers503Envelopes) {
   options.port = 0;
   options.threads = 4;
   options.log_requests = false;
-  HttpServer server(options);
   server::ServiceStats stats;
+  HttpServer server(options, stats.registry());
   server::RegisterCpdRoutes(&server, &registry, &stats);
   ASSERT_TRUE(server.Start().ok());
   auto client = HttpClient::Connect(kHost, server.port());
@@ -190,7 +190,8 @@ TEST_F(ErrorEnvelopeTest, AdmissionAndDeadlineErrorsUseTheEnvelope) {
     options.threads = 4;
     options.max_inflight = 1;
     options.log_requests = false;
-    HttpServer server(options);
+    obs::MetricsRegistry metrics;
+    HttpServer server(options, &metrics);
     std::mutex mutex;
     std::condition_variable cv;
     bool entered = false;
@@ -238,7 +239,8 @@ TEST_F(ErrorEnvelopeTest, AdmissionAndDeadlineErrorsUseTheEnvelope) {
     options.threads = 2;
     options.deadline_ms = 30;
     options.log_requests = false;
-    HttpServer server(options);
+    obs::MetricsRegistry metrics;
+    HttpServer server(options, &metrics);
     server.Handle("GET", "/slow", [](const HttpRequest&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       return HttpResponse{};
@@ -261,7 +263,8 @@ TEST_F(ErrorEnvelopeTest, FramingErrorsUseTheEnvelope) {
   options.max_head_bytes = 1024;
   options.max_body_bytes = 2048;
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   server.Handle("GET", "/ok", [](const HttpRequest&) {
     return HttpResponse{};
   });

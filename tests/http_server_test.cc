@@ -29,6 +29,7 @@
 #include "core/cpd_model.h"
 #include "ingest/ingest_pipeline.h"
 #include "ingest/update_batch.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "server/json_api.h"
 #include "server/model_registry.h"
@@ -117,7 +118,7 @@ struct ServingFixture {
                           std::shared_ptr<const SocialGraph> graph = nullptr,
                           HttpServerOptions options = {})
       : registry(serve::ProfileIndexOptions{}, std::move(graph)),
-        server(MakeOptions(options)) {
+        server(MakeOptions(options), stats.registry()) {
     CPD_CHECK(registry.LoadFrom(artifact_path).ok());
     server::RegisterCpdRoutes(&server, &registry, &stats);
   }
@@ -346,7 +347,8 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   options.threads = 2;       // A free worker answers the prober.
   options.max_inflight = 1;  // But only one request may execute.
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -401,7 +403,7 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->status, 200);
 
-  EXPECT_GE(server.stats().rejected_429, 1u);
+  EXPECT_GE(metrics.CounterTotal("cpd_http_rejected_429_total"), 1u);
   server.Stop();
 }
 
@@ -410,7 +412,8 @@ TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   options.port = 0;
   options.max_connections = 2;  // Two live connections; the third is shed.
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   server.Handle("GET", "/ping", [](const HttpRequest&) {
     HttpResponse response;
     response.body = "{}";
@@ -432,7 +435,8 @@ TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   EXPECT_EQ(shed->status, 429);
   EXPECT_FALSE(third->connected());  // 429-and-close at the accept edge.
-  EXPECT_GE(server.stats().connections_rejected, 1u);
+  EXPECT_GE(metrics.CounterTotal("cpd_http_connections_rejected_total"),
+            1u);
   server.Stop();
 }
 
@@ -444,7 +448,8 @@ TEST_F(HttpServerTest, SlowHandlerGets504) {
   options.threads = 2;
   options.deadline_ms = 40;
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   server.Handle("GET", "/slow", [](const HttpRequest&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
     HttpResponse response;
@@ -463,7 +468,7 @@ TEST_F(HttpServerTest, SlowHandlerGets504) {
   EXPECT_NE(slow.body.find("DeadlineExceeded"), std::string::npos);
   const HttpResponse fast = Fetch(server.port(), "GET", "/fast");
   EXPECT_EQ(fast.status, 200);  // The deadline only fails over-budget work.
-  EXPECT_EQ(server.stats().deadline_504, 1u);
+  EXPECT_EQ(metrics.CounterTotal("cpd_http_deadline_504_total"), 1u);
   server.Stop();
 }
 
@@ -594,8 +599,8 @@ TEST_F(HttpServerTest, IngestUnderLoadSwapsWithZeroFailedRequests) {
   options.port = 0;
   options.threads = 8;
   options.log_requests = false;
-  HttpServer server(options);
   server::ServiceStats stats;
+  HttpServer server(options, stats.registry());
   server::RegisterCpdRoutes(&server, &registry, &stats, pipeline->get());
   ASSERT_TRUE(server.Start().ok());
   const int port = server.port();
@@ -818,8 +823,8 @@ TEST_F(HttpServerTest, IngestModelFieldSwapsANamedModel) {
   options.port = 0;
   options.threads = 8;
   options.log_requests = false;
-  HttpServer server(options);
   server::ServiceStats stats;
+  HttpServer server(options, stats.registry());
   server::RegisterCpdRoutes(&server, &registry, &stats, pipeline->get());
   ASSERT_TRUE(server.Start().ok());
   const int port = server.port();
@@ -870,7 +875,8 @@ TEST_F(HttpServerTest, OversizedContentLengthIs413BeforeTheBodyIsSent) {
   options.threads = 2;
   options.max_body_bytes = 1024;
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   server.Handle("POST", "/admin/ingest", [](const HttpRequest&) {
     HttpResponse response;
     response.body = "{}";
@@ -918,7 +924,8 @@ TEST_F(HttpServerTest, AcceptEdgeShedsWhenTheProcessRunsOutOfDescriptors) {
   options.port = 0;
   options.threads = 2;
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   server.Handle("GET", "/ping", [](const HttpRequest&) {
     HttpResponse response;
     response.body = "{}";
@@ -988,7 +995,8 @@ TEST_F(HttpServerTest, AcceptEdgeShedsWhenTheProcessRunsOutOfDescriptors) {
       << (failures.empty() ? "" : failures.front());
   EXPECT_EQ(ok_200 + shed_429, kClients);
   EXPECT_GE(shed_429, 1);
-  EXPECT_GE(server.stats().connections_rejected, 1u);
+  EXPECT_GE(metrics.CounterTotal("cpd_http_connections_rejected_total"),
+            1u);
   server.Stop();
 }
 
@@ -999,7 +1007,8 @@ TEST_F(HttpServerTest, StopDrainsInFlightRequests) {
   options.port = 0;
   options.threads = 2;
   options.log_requests = false;
-  HttpServer server(options);
+  obs::MetricsRegistry metrics;
+  HttpServer server(options, &metrics);
   std::atomic<bool> handler_entered{false};
   server.Handle("GET", "/slow", [&](const HttpRequest&) {
     handler_entered.store(true);

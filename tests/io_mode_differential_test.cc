@@ -5,7 +5,8 @@
 //   - Error envelopes, /healthz and /v1/models: literal bytes (both clocks
 //     are frozen and the artifact path is known).
 //   - /metricsz and /statsz: parsed, with every transport and service
-//     counter asserted exactly as the trace implies; the raw bytes of the
+//     counter asserted exactly as the trace implies, and the exposition
+//     checked for well-formed families; the raw bytes of the
 //     whole trace, scrapes included, must also match across two fresh
 //     servers.
 //   - Framing errors: the raw reply (status line, headers, body) against a
@@ -23,6 +24,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -234,8 +237,8 @@ class WireGoldenTest : public ::testing::Test {
     options.port = 0;
     options.threads = 8;
     options.log_requests = false;
-    HttpServer http_server(options);
     server::ServiceStats stats;
+    HttpServer http_server(options, stats.registry());
     server::RegisterCpdRoutes(&http_server, &registry, &stats);
     CPD_CHECK(http_server.Start().ok());
 
@@ -261,6 +264,46 @@ class WireGoldenTest : public ::testing::Test {
     if (at == std::string::npos) return -1;
     return std::strtoll(exposition.c_str() + at + needle.size(), nullptr,
                         10);
+  }
+
+  /// Prometheus text-format structure: every family has exactly one
+  /// "# HELP" followed by exactly one "# TYPE", no family appears twice,
+  /// and every sample line belongs to the family whose "# TYPE" it follows
+  /// (for a histogram: name_bucket, name_sum, name_count).
+  static void ExpectWellFormedExposition(const std::string& exposition) {
+    std::set<std::string> families;
+    std::string helped;  // Family whose "# HELP" awaits its "# TYPE".
+    std::string family;  // Family whose samples may follow.
+    std::string type;
+    std::istringstream lines(exposition);
+    std::string line;
+    while (std::getline(lines, line)) {
+      std::istringstream fields(line);
+      std::string hash, keyword, name;
+      if (line.rfind("# HELP ", 0) == 0) {
+        fields >> hash >> keyword >> name;
+        EXPECT_TRUE(helped.empty()) << "# HELP " << helped << " has no # TYPE";
+        EXPECT_TRUE(families.insert(name).second)
+            << "family " << name << " appears twice";
+        helped = name;
+        family.clear();
+      } else if (line.rfind("# TYPE ", 0) == 0) {
+        fields >> hash >> keyword >> name >> type;
+        EXPECT_EQ(name, helped) << "# TYPE without its # HELP: " << line;
+        family = helped;
+        helped.clear();
+      } else {
+        name = line.substr(0, line.find_first_of("{ "));
+        const bool in_family =
+            type == "histogram"
+                ? name == family + "_bucket" || name == family + "_sum" ||
+                      name == family + "_count"
+                : name == family;
+        EXPECT_TRUE(!family.empty() && in_family)
+            << "sample outside its family: " << line;
+      }
+    }
+    EXPECT_TRUE(helped.empty()) << "# HELP " << helped << " has no # TYPE";
   }
 
   /// A non-negative integer field of a parsed /statsz object, or -1.
@@ -354,6 +397,7 @@ TEST_F(WireGoldenTest, CanonicalTraceMatchesIndependentReferences) {
   // /metricsz: its own request is parsed and queued but not yet answered.
   ASSERT_EQ(first[metricsz].status, 200);
   const std::string& exposition = first[metricsz].body;
+  ExpectWellFormedExposition(exposition);
   const int64_t requests = static_cast<int64_t>(metricsz) + 1;
   EXPECT_EQ(Series(exposition, "cpd_http_requests_total"), requests);
   EXPECT_EQ(Series(exposition, R"(cpd_http_responses_total{class="2xx"})"),
@@ -426,8 +470,8 @@ TEST_F(WireGoldenTest, ConcurrentQueriesAreByteIdentical) {
   options.port = 0;
   options.threads = 12;
   options.log_requests = false;
-  HttpServer http_server(options);
   server::ServiceStats stats;
+  HttpServer http_server(options, stats.registry());
   server::RegisterCpdRoutes(&http_server, &registry, &stats);
   ASSERT_TRUE(http_server.Start().ok());
   const int port = http_server.port();
@@ -468,7 +512,8 @@ TEST_F(WireGoldenTest, ConcurrentQueriesAreByteIdentical) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(stats.queries(), 320u);
+  EXPECT_EQ(stats.registry()->CounterTotal("cpd_service_queries_total"),
+            320u);
   http_server.Stop();
 }
 
@@ -508,10 +553,10 @@ TEST_F(WireGoldenTest, FramingErrorRepliesAreByteIdentical) {
   options.threads = 4;
   options.max_head_bytes = 1024;
   options.log_requests = false;
-  HttpServer http_server(options);
+  server::ServiceStats stats;
+  HttpServer http_server(options, stats.registry());
   server::ModelRegistry registry(serve::ProfileIndexOptions{}, nullptr);
   CPD_CHECK(registry.LoadFrom(*artifact_).ok());
-  server::ServiceStats stats;
   server::RegisterCpdRoutes(&http_server, &registry, &stats);
   ASSERT_TRUE(http_server.Start().ok());
   for (size_t i = 0; i < probes.size(); ++i) {

@@ -242,8 +242,8 @@ class MmapDifferentialTest : public ::testing::Test {
     options.port = 0;
     options.threads = 4;
     options.log_requests = false;
-    HttpServer http_server(options);
     server::ServiceStats stats;
+    HttpServer http_server(options, stats.registry());
     server::RegisterCpdRoutes(&http_server, registry, &stats);
     CPD_CHECK(http_server.Start().ok());
     std::vector<std::string> results;

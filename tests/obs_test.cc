@@ -143,16 +143,22 @@ TEST(MetricsRegistryTest, HandlesAreStableAndIdempotent) {
   EXPECT_EQ(by_label.at("n"), 4u);
 }
 
-TEST(MetricsRegistryTest, FamilyNamesSorted) {
+TEST(MetricsRegistryTest, ExpositionSortsFamilies) {
   MetricsRegistry registry;
   registry.GetCounter("cpd_b_total", "b");
   registry.GetGauge("cpd_a_gauge", "a");
   registry.GetHistogram("cpd_c_us", "c");
-  const std::vector<std::string> names = registry.FamilyNames();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "cpd_a_gauge");
-  EXPECT_EQ(names[1], "cpd_b_total");
-  EXPECT_EQ(names[2], "cpd_c_us");
+  // The exposition renders families name-sorted, whatever the
+  // registration order.
+  const std::string text = registry.ExpositionText();
+  const size_t a = text.find("# TYPE cpd_a_gauge gauge\n");
+  const size_t b = text.find("# TYPE cpd_b_total counter\n");
+  const size_t c = text.find("# TYPE cpd_c_us histogram\n");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  ASSERT_NE(c, std::string::npos);
+  EXPECT_LT(a, b);
+  EXPECT_LT(b, c);
 }
 
 // --------------------------------------------------------------- exposition

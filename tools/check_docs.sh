@@ -13,7 +13,11 @@
 #      tool name, across backslash-continued lines) must be in that tool's
 #      kKnownFlags, and every --flag inside a `code span` anywhere in those
 #      files must be in some tool's kKnownFlags, so deleted or invented
-#      flags cannot linger in the docs.
+#      flags cannot linger in the docs;
+#   5. every quoted exposition line "# HELP cpd_<family> <text>" in
+#      README.md or docs/*.md must have <text> as a "..." string literal
+#      in src/**/*.cc, so sample scrapes quote the HELP text the server
+#      actually emits.
 # Exits non-zero listing every violation.
 
 set -u
@@ -146,9 +150,22 @@ for doc in README.md docs/*.md; do
   done
 done
 
+# ----- 5. quoted HELP text matches the code -----
+for doc in README.md docs/*.md; do
+  while IFS= read -r line; do
+    family=$(printf '%s' "$line" | cut -d' ' -f3)
+    help=$(printf '%s' "$line" | cut -d' ' -f4-)
+    if ! grep -rqF --include='*.cc' -- "\"$help\"" src; then
+      echo "STALE HELP: $family \"$help\" (in $doc, not a string literal" \
+           "in src/**/*.cc)"
+      failures=1
+    fi
+  done < <(grep -E '^# HELP cpd_[a-z0-9_]+ ' "$doc")
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
 echo "docs check OK (links resolve, every route, metric and CLI flag" \
-     "documented)"
+     "documented, quoted HELP text current)"

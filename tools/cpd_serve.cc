@@ -7,7 +7,7 @@
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
 //             [--max_connections 1024]
 //             [--max_inflight 64] [--deadline_ms 0]
-//             [--log_level info] [--metrics on|off] [--slow_request_ms 500]
+//             [--log_level info] [--slow_request_ms 500]
 //             [--users N --docs docs.tsv --friends friends.tsv
 //              --diffusion diffusion.tsv]   (enables diffusion queries AND
 //                                            streaming ingest)
@@ -65,7 +65,7 @@ void Usage(const char* argv0) {
                "          [--max_connections 1024]\n"
                "          [--max_inflight 64] [--deadline_ms 0]\n"
                "          [--log_level debug|info|warning|error|off]\n"
-               "          [--metrics on|off] [--slow_request_ms 500]\n"
+               "          [--slow_request_ms 500]\n"
                "          [--users N --docs docs.tsv --friends friends.tsv "
                "--diffusion diffusion.tsv]\n"
                "          [--warm_iters 2] [--ingest_threads 1] "
@@ -78,7 +78,7 @@ const std::set<std::string> kKnownFlags = {
     "threads", "users", "docs",         "friends",     "diffusion",
     "max_inflight",     "deadline_ms",  "warm_iters",  "ingest_threads",
     "ingest_out",       "max_connections",
-    "log_level", "metrics", "slow_request_ms",
+    "log_level", "slow_request_ms",
     "emit_delta"};
 
 std::atomic<bool> g_shutdown{false};
@@ -115,17 +115,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     cpd::SetLogLevel(*level);
-  }
-  bool metrics_enabled = true;
-  if (args.count("metrics")) {
-    if (args["metrics"] == "off") {
-      metrics_enabled = false;
-    } else if (args["metrics"] != "on") {
-      std::fprintf(stderr, "--metrics must be on|off, got '%s'\n",
-                   args["metrics"].c_str());
-      Usage(argv[0]);
-      return 2;
-    }
   }
 
   cpd::serve::ProfileIndexOptions index_options;
@@ -237,9 +226,8 @@ int main(int argc, char** argv) {
   // breakdown (0 disables the slow log).
   options.slow_request_us = int_flag("slow_request_ms", 500) * 1000;
 
-  cpd::server::HttpServer server(options);
   cpd::server::ServiceStats stats;
-  stats.set_metrics_enabled(metrics_enabled);
+  cpd::server::HttpServer server(options, stats.registry());
   cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get());
   const cpd::Status started = server.Start();
   if (!started.ok()) {
