@@ -4,21 +4,17 @@
 // sweeps, LDA iterations. Not a paper figure; guards against performance
 // regressions in the samplers that dominate Alg. 1's E-step.
 //
-// Besides the google-benchmark registry, a bare invocation finishes with two
-// JSON perf artifacts (in the working directory, or $CPD_BENCH_JSON_DIR), so
-// successive PRs accumulate a machine-readable perf trajectory:
-//  - BENCH_sampler.json (or CPD_WRITE_SAMPLER_JSON set): dense-vs-sparse
-//    document-sweep tokens/sec over K ∈ {10, 50, 200} topics;
-//  - BENCH_estep_merge.json (or CPD_WRITE_ESTEP_JSON set): snapshot/delta
-//    E-step tokens/sec and merge/snapshot seconds vs shard count {1,2,4,8},
-//    plus the same sweep over distributed cpd_worker process counts {1,2,4}
-//    with serialize/transport seconds and wire bytes per sweep.
+// Besides the google-benchmark registry, a bare invocation (or one with
+// CPD_WRITE_SAMPLER_JSON set) finishes with BENCH_sampler.json in the
+// working directory, or $CPD_BENCH_JSON_DIR: dense-vs-sparse document-sweep
+// tokens/sec over K ∈ {10, 50, 200} topics. The E-step layers (snapshot,
+// shard sampling, merge, transport) are measured end to end by
+// `cpdbench train` / `cpdbench train_dist`.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "core/em_trainer.h"
 #include "core/gibbs_sampler.h"
@@ -263,203 +259,11 @@ void WriteSamplerSweepJson() {
   }
 }
 
-// ---------- E-step shard scaling sweep -> BENCH_estep_merge.json ----------
-
-struct EstepSweepPoint {
-  int shards = 0;
-  double tokens_per_sec = 0.0;
-  double merge_seconds_per_estep = 0.0;
-  double snapshot_seconds_per_estep = 0.0;
-  double doc_moves_per_estep = 0.0;
-};
-
-// One point of the snapshot/delta E-step scaling curve: tokens/sec of the
-// full EStep (snapshot + shard sweeps + delta merge + PG augmentation) at
-// the given shard count, pool size == shard count.
-EstepSweepPoint MeasureEstep(const SynthResult& data, int shards) {
-  CpdConfig config;
-  config.num_communities = 8;
-  config.num_topics = 10;
-  config.gibbs_sweeps_per_em = 1;
-  config.num_threads = shards;
-  config.num_shards = shards;
-  EmTrainer trainer(data.graph, config);
-  CPD_CHECK(trainer.Initialize().ok());
-  CPD_CHECK(trainer.EStep().ok());  // Warm-up (plan + executor build).
-
-  const double e0 = trainer.stats().e_step_seconds;
-  const double m0 = trainer.stats().merge_seconds;
-  const double s0 = trainer.stats().snapshot_seconds;
-  const size_t d0 = trainer.stats().delta_doc_moves;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) CPD_CHECK(trainer.EStep().ok());
-
-  EstepSweepPoint point;
-  point.shards = shards;
-  const double tokens =
-      static_cast<double>(data.graph.corpus().total_tokens()) *
-      static_cast<double>(reps) * config.gibbs_sweeps_per_em;
-  point.tokens_per_sec = tokens / (trainer.stats().e_step_seconds - e0);
-  point.merge_seconds_per_estep =
-      (trainer.stats().merge_seconds - m0) / static_cast<double>(reps);
-  point.snapshot_seconds_per_estep =
-      (trainer.stats().snapshot_seconds - s0) / static_cast<double>(reps);
-  point.doc_moves_per_estep =
-      static_cast<double>(trainer.stats().delta_doc_moves - d0) /
-      static_cast<double>(reps);
-  return point;
-}
-
-struct DistSweepPoint {
-  int workers = 0;
-  double tokens_per_sec = 0.0;
-  double serialize_seconds_per_sweep = 0.0;
-  double wait_seconds_per_sweep = 0.0;
-  double merge_seconds_per_sweep = 0.0;
-  double bytes_out_per_sweep = 0.0;
-  double bytes_in_per_sweep = 0.0;
-};
-
-// One point of the distributed E-step curve: the same EStep workload
-// dispatched to `workers` spawned cpd_worker processes (one shard per
-// worker). Transport counters are cumulative in TrainStats, so per-sweep
-// figures are deltas across the measured reps.
-DistSweepPoint MeasureDistributedEstep(const SynthResult& data,
-                                       const std::string& worker_binary,
-                                       int workers) {
-  CpdConfig config;
-  config.num_communities = 8;
-  config.num_topics = 10;
-  config.gibbs_sweeps_per_em = 1;
-  config.num_shards = workers;
-  config.executor_mode = ExecutorMode::kDistributed;
-  config.dist_workers = workers;
-  config.dist_worker_binary = worker_binary;
-  EmTrainer trainer(data.graph, config);
-  CPD_CHECK(trainer.Initialize().ok());
-  CPD_CHECK(trainer.EStep().ok());  // Warm-up (spawn + handshake + setup).
-
-  const double e0 = trainer.stats().e_step_seconds;
-  const double m0 = trainer.stats().merge_seconds;
-  const double ser0 = trainer.stats().dist_serialize_seconds;
-  const double wait0 = trainer.stats().dist_wait_seconds;
-  const uint64_t out0 = trainer.stats().dist_bytes_out;
-  const uint64_t in0 = trainer.stats().dist_bytes_in;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) CPD_CHECK(trainer.EStep().ok());
-
-  DistSweepPoint point;
-  point.workers = workers;
-  const double tokens =
-      static_cast<double>(data.graph.corpus().total_tokens()) *
-      static_cast<double>(reps) * config.gibbs_sweeps_per_em;
-  point.tokens_per_sec = tokens / (trainer.stats().e_step_seconds - e0);
-  const double sweeps = static_cast<double>(reps) * config.gibbs_sweeps_per_em;
-  point.serialize_seconds_per_sweep =
-      (trainer.stats().dist_serialize_seconds - ser0) / sweeps;
-  point.wait_seconds_per_sweep =
-      (trainer.stats().dist_wait_seconds - wait0) / sweeps;
-  point.merge_seconds_per_sweep =
-      (trainer.stats().merge_seconds - m0) / sweeps;
-  point.bytes_out_per_sweep =
-      static_cast<double>(trainer.stats().dist_bytes_out - out0) / sweeps;
-  point.bytes_in_per_sweep =
-      static_cast<double>(trainer.stats().dist_bytes_in - in0) / sweeps;
-  return point;
-}
-
-void WriteEstepMergeJson() {
-  const SynthResult& data = MicroData();
-  std::vector<EstepSweepPoint> points;
-  for (int shards : {1, 2, 4, 8}) {
-    points.push_back(MeasureEstep(data, shards));
-    const EstepSweepPoint& p = points.back();
-    std::printf("estep merge sweep shards=%d  %.0f tok/s  merge %.4fs  "
-                "snapshot %.4fs  (%.2fx vs 1 shard)\n",
-                p.shards, p.tokens_per_sec, p.merge_seconds_per_estep,
-                p.snapshot_seconds_per_estep,
-                p.tokens_per_sec / points.front().tokens_per_sec);
-  }
-
-  std::string json = "{\n  \"bench\": \"estep_merge_sweep\",\n";
-  json += StrFormat("  \"dataset\": {\"users\": %zu, \"documents\": %zu, "
-                    "\"tokens\": %lld, \"communities\": 8, \"topics\": 10},\n",
-                    data.graph.num_users(), data.graph.num_documents(),
-                    static_cast<long long>(data.graph.corpus().total_tokens()));
-  // Shard counts beyond the physical cores cannot speed up wall-clock;
-  // record the machine so the series is interpretable across runners.
-  json += StrFormat("  \"hardware_concurrency\": %u,\n",
-                    std::thread::hardware_concurrency());
-  json += "  \"results\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const EstepSweepPoint& p = points[i];
-    json += StrFormat(
-        "    {\"shards\": %d, \"tokens_per_sec\": %.1f, "
-        "\"merge_seconds_per_estep\": %.6f, "
-        "\"snapshot_seconds_per_estep\": %.6f, "
-        "\"doc_moves_per_estep\": %.1f, \"speedup_vs_serial\": %.3f}%s\n",
-        p.shards, p.tokens_per_sec, p.merge_seconds_per_estep,
-        p.snapshot_seconds_per_estep, p.doc_moves_per_estep,
-        p.tokens_per_sec / points.front().tokens_per_sec,
-        i + 1 < points.size() ? "," : "");
-  }
-  json += "  ],\n";
-
-  // Same workload over distributed worker processes. Skipped (empty array)
-  // when cpd_worker was not built next to this binary, so the artifact stays
-  // diffable either way.
-  const std::string worker_binary = CurrentExecutableDir() + "/cpd_worker";
-  std::vector<DistSweepPoint> dist_points;
-  if (FileExists(worker_binary)) {
-    for (int workers : {1, 2, 4}) {
-      dist_points.push_back(
-          MeasureDistributedEstep(data, worker_binary, workers));
-      const DistSweepPoint& p = dist_points.back();
-      std::printf("estep distributed sweep workers=%d  %.0f tok/s  "
-                  "serialize %.4fs  wait %.4fs  merge %.4fs  "
-                  "%.0f B out  %.0f B in\n",
-                  p.workers, p.tokens_per_sec, p.serialize_seconds_per_sweep,
-                  p.wait_seconds_per_sweep, p.merge_seconds_per_sweep,
-                  p.bytes_out_per_sweep, p.bytes_in_per_sweep);
-    }
-  } else {
-    std::printf("cpd_worker not found next to this binary; skipping the "
-                "distributed E-step sweep\n");
-  }
-  json += "  \"distributed_results\": [\n";
-  for (size_t i = 0; i < dist_points.size(); ++i) {
-    const DistSweepPoint& p = dist_points[i];
-    json += StrFormat(
-        "    {\"workers\": %d, \"tokens_per_sec\": %.1f, "
-        "\"serialize_seconds_per_sweep\": %.6f, "
-        "\"wait_seconds_per_sweep\": %.6f, "
-        "\"merge_seconds_per_sweep\": %.6f, "
-        "\"bytes_out_per_sweep\": %.1f, \"bytes_in_per_sweep\": %.1f}%s\n",
-        p.workers, p.tokens_per_sec, p.serialize_seconds_per_sweep,
-        p.wait_seconds_per_sweep, p.merge_seconds_per_sweep,
-        p.bytes_out_per_sweep, p.bytes_in_per_sweep,
-        i + 1 < dist_points.size() ? "," : "");
-  }
-  json += "  ]\n}\n";
-
-  const char* dir = std::getenv("CPD_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) +
-      "BENCH_estep_merge.json";
-  const Status status = WriteStringToFile(path, json);
-  if (!status.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
-                 status.message().c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
-}
-
 }  // namespace
 }  // namespace cpd
 
 int main(int argc, char** argv) {
-  // The JSON sweeps train real models for minutes, so they run only on a
+  // The JSON sweep trains real models, so it runs only on a
   // bare invocation (the regression-guard default) or when explicitly
   // requested — never for filtered/listing runs someone uses to poke at a
   // single micro-benchmark.
@@ -470,9 +274,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (bare_invocation || std::getenv("CPD_WRITE_SAMPLER_JSON") != nullptr) {
     cpd::WriteSamplerSweepJson();
-  }
-  if (bare_invocation || std::getenv("CPD_WRITE_ESTEP_JSON") != nullptr) {
-    cpd::WriteEstepMergeJson();
   }
   return 0;
 }

@@ -775,12 +775,11 @@ void GibbsSampler::RebuildSparseTables(ThreadPool* pool) {
 }
 
 MhStats GibbsSampler::mh_stats() const {
-  MhStats stats;
-  stats.topic_proposals = topic_proposals_.load(std::memory_order_relaxed);
-  stats.topic_accepts = topic_accepts_.load(std::memory_order_relaxed);
-  stats.community_proposals =
-      community_proposals_.load(std::memory_order_relaxed);
-  stats.community_accepts = community_accepts_.load(std::memory_order_relaxed);
+  MhStats stats = folded_mh_;
+  stats += {topic_proposals_.load(std::memory_order_relaxed),
+            topic_accepts_.load(std::memory_order_relaxed),
+            community_proposals_.load(std::memory_order_relaxed),
+            community_accepts_.load(std::memory_order_relaxed)};
   return stats;
 }
 
@@ -789,15 +788,7 @@ void GibbsSampler::ResetMhStats() {
   topic_accepts_.store(0, std::memory_order_relaxed);
   community_proposals_.store(0, std::memory_order_relaxed);
   community_accepts_.store(0, std::memory_order_relaxed);
-}
-
-void GibbsSampler::AccumulateMhStats(const MhStats& stats) {
-  topic_proposals_.fetch_add(stats.topic_proposals, std::memory_order_relaxed);
-  topic_accepts_.fetch_add(stats.topic_accepts, std::memory_order_relaxed);
-  community_proposals_.fetch_add(stats.community_proposals,
-                                 std::memory_order_relaxed);
-  community_accepts_.fetch_add(stats.community_accepts,
-                               std::memory_order_relaxed);
+  folded_mh_ = MhStats();
 }
 
 // The collapse memo requires (a) a sampler driven by a single thread for

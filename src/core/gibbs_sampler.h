@@ -90,6 +90,13 @@ struct MhStats {
                      static_cast<double>(community_proposals)
                : 0.0;
   }
+  MhStats& operator+=(const MhStats& other) {
+    topic_proposals += other.topic_proposals;
+    topic_accepts += other.topic_accepts;
+    community_proposals += other.community_proposals;
+    community_accepts += other.community_accepts;
+    return *this;
+  }
 };
 
 /// Hit/miss counters of the per-sweep eta/theta endpoint-collapse memo (the
@@ -101,6 +108,11 @@ struct CollapseCacheStats {
     const int64_t total = hits + misses;
     return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
                      : 0.0;
+  }
+  CollapseCacheStats& operator+=(const CollapseCacheStats& other) {
+    hits += other.hits;
+    misses += other.misses;
+    return *this;
   }
 };
 
@@ -173,7 +185,7 @@ class GibbsSampler {
   /// trainer folds its shard samplers' MH stats into the master sampler
   /// after every E-step, so mh_stats() on the master keeps reporting
   /// acceptance health for the whole training run.
-  void AccumulateMhStats(const MhStats& stats);
+  void AccumulateMhStats(const MhStats& stats) { folded_mh_ += stats; }
 
   /// w_ij of Eq. 5 (or the Eq. 3 energy under the no-heterogeneity
   /// ablation) for diffusion link index e under the current state.
@@ -283,6 +295,7 @@ class GibbsSampler {
   std::atomic<int64_t> topic_accepts_{0};
   std::atomic<int64_t> community_proposals_{0};
   std::atomic<int64_t> community_accepts_{0};
+  MhStats folded_mh_;  ///< AccumulateMhStats() totals.
 
   bool freeze_communities_ = false;
   bool community_uses_content_ = true;

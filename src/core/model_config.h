@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace cpd {
 
@@ -176,12 +179,18 @@ struct CpdConfig {
     return std::min(0.1, 50.0 / static_cast<double>(num_communities));
   }
 
+  /// dist_worker_addrs split on commas, empty entries kept (Validate
+  /// rejects them); empty when no list is set.
+  std::vector<std::string> DistWorkerAddrs() const {
+    if (dist_worker_addrs.empty()) return {};
+    return Split(dist_worker_addrs, ',');
+  }
+
   /// Number of distributed workers implied by the config: the spawn count,
   /// or the address-list length when pre-started workers are used.
   int ResolvedDistWorkers() const {
     if (!dist_worker_addrs.empty()) {
-      return 1 + static_cast<int>(std::count(dist_worker_addrs.begin(),
-                                             dist_worker_addrs.end(), ','));
+      return static_cast<int>(DistWorkerAddrs().size());
     }
     return dist_workers;
   }
@@ -221,6 +230,11 @@ struct CpdConfig {
     if (dist_workers > 0 && !dist_worker_addrs.empty()) {
       return Status::InvalidArgument(
           "dist_workers and dist_worker_addrs are mutually exclusive");
+    }
+    for (const std::string& addr : DistWorkerAddrs()) {
+      if (addr.empty()) {
+        return Status::InvalidArgument("dist_worker_addrs has an empty entry");
+      }
     }
     if (executor_mode == ExecutorMode::kDistributed &&
         ResolvedDistWorkers() < 1) {

@@ -42,18 +42,15 @@ void SetRecvTimeout(int fd, int timeout_ms) {
 
 class DistributedExecutor final : public ShardExecutor {
  public:
+  // The runner holds no slots: shards sample on the workers, while the
+  // streams, augmentation and totals stay on the coordinator.
   DistributedExecutor(const SocialGraph& graph, const CpdConfig& config,
-                      ThreadPlan plan)
-      : graph_(graph), config_(config), plan_(std::move(plan)) {
-    const size_t shards = plan_.users_per_thread.size();
-    CPD_CHECK_GE(shards, 1u);
-    // Identical shard-stream derivation to ShardExecutorBase: that seeding
-    // is the bit-identity contract between the execution modes.
-    Rng seeder(config_.seed + 7919);
-    rngs_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) rngs_.push_back(seeder.Split());
-    shard_seconds_.assign(shards, 0.0);
-  }
+                      const LinkCaches& caches, ThreadPlan plan)
+      : ShardExecutor(graph, config, caches, plan.users_per_thread.size(),
+                      /*num_slots=*/0),
+        graph_(graph),
+        config_(config),
+        plan_(std::move(plan)) {}
 
   ~DistributedExecutor() override {
     for (WorkerConn& w : workers_) {
@@ -138,11 +135,6 @@ class DistributedExecutor final : public ShardExecutor {
     return Status::OK();
   }
 
-  int num_shards() const override {
-    return static_cast<int>(plan_.users_per_thread.size());
-  }
-  const char* name() const override { return "distributed"; }
-
   Status SampleShards(const StateSnapshot& snapshot, const KernelFlags& flags,
                       std::vector<CounterDelta>* deltas) override {
     CPD_CHECK(snapshot.captured());
@@ -169,15 +161,15 @@ class DistributedExecutor final : public ShardExecutor {
       (*deltas)[s].Clear();
       if (plan_.users_per_thread[s].empty()) {
         // Empty shards never touch their RNG stream locally either
-        // (ShardExecutorBase::RunShard returns before sampling), so
-        // skipping the round trip preserves bit-identity.
+        // (ShardRunner::Run returns before sampling), so skipping the
+        // round trip preserves bit-identity.
         completed[s] = true;
         continue;
       }
       RunShardMsg msg;
       msg.sweep = sweep_seq_;
       msg.shard = static_cast<uint32_t>(s);
-      msg.rng = rngs_[s].SaveState();
+      msg.rng = runner_.stream(s).SaveState();
       run_bodies[s] = msg.Encode();
       ++outstanding;
     }
@@ -287,9 +279,9 @@ class DistributedExecutor final : public ShardExecutor {
                             std::move(args));
           }
           (*deltas)[s] = std::move(decoded);
-          rngs_[s].LoadState(msg->rng);
-          shard_seconds_[s] += msg->shard_seconds;
-          AccumulateStats(msg->mh, msg->collapse);
+          runner_.stream(s).LoadState(msg->rng);
+          runner_.AddShardSeconds(s, msg->shard_seconds);
+          runner_.AddStats(msg->mh, msg->collapse);
           completed[s] = true;
           --outstanding;
         }
@@ -308,44 +300,13 @@ class DistributedExecutor final : public ShardExecutor {
     return Status::OK();
   }
 
+  // Augmentation is cheap and race-free on the merged master state; running
+  // it here with the shard streams saves a round trip per sweep.
   Status SweepAugmentation(GibbsSampler* master_sampler) override {
-    // Identical to the in-process executors — augmentation is cheap and
-    // race-free on the merged master state, and running it locally with the
-    // same per-shard streams keeps the RNG sequences aligned with a serial
-    // run without another network round trip.
-    const size_t nf = graph_.num_friendship_links();
-    const size_t ne = graph_.num_diffusion_links();
-    const size_t shards = static_cast<size_t>(num_shards());
-    for (size_t t = 0; t < shards; ++t) {
-      WallTimer timer;
-      master_sampler->SweepFriendshipAugmentation(nf * t / shards,
-                                                  nf * (t + 1) / shards,
-                                                  &rngs_[t]);
-      master_sampler->SweepDiffusionAugmentation(ne * t / shards,
-                                                 ne * (t + 1) / shards,
-                                                 &rngs_[t]);
-      shard_seconds_[t] += timer.ElapsedSeconds();
+    for (size_t t = 0; t < runner_.num_shards(); ++t) {
+      runner_.Augment(t, master_sampler);
     }
     return Status::OK();
-  }
-
-  const std::vector<double>& shard_seconds() const override {
-    return shard_seconds_;
-  }
-  void ResetTimings() override {
-    shard_seconds_.assign(shard_seconds_.size(), 0.0);
-  }
-
-  CollapseCacheStats ConsumeCollapseCacheStats() override {
-    const CollapseCacheStats out = collapse_;
-    collapse_ = CollapseCacheStats();
-    return out;
-  }
-
-  MhStats ConsumeMhStats() override {
-    const MhStats out = mh_;
-    mh_ = MhStats();
-    return out;
   }
 
   const DistTransportStats* transport_stats() const override {
@@ -528,15 +489,6 @@ class DistributedExecutor final : public ShardExecutor {
         "distributed executor: all workers lost mid-sweep");
   }
 
-  void AccumulateStats(const MhStats& mh, const CollapseCacheStats& collapse) {
-    mh_.topic_proposals += mh.topic_proposals;
-    mh_.topic_accepts += mh.topic_accepts;
-    mh_.community_proposals += mh.community_proposals;
-    mh_.community_accepts += mh.community_accepts;
-    collapse_.hits += collapse.hits;
-    collapse_.misses += collapse.misses;
-  }
-
   void ReapChildren() {
     // Workers exit on kShutdown/EOF; give them a moment, then escalate.
     for (const pid_t pid : child_pids_) {
@@ -565,12 +517,8 @@ class DistributedExecutor final : public ShardExecutor {
   std::vector<WorkerConn> workers_;
   std::vector<pid_t> child_pids_;
 
-  std::vector<Rng> rngs_;  ///< Canonical per-shard streams, coordinator-owned.
-  std::vector<double> shard_seconds_;
   uint64_t sweep_seq_ = 0;
   uint64_t last_sent_params_version_ = 0;
-  MhStats mh_;
-  CollapseCacheStats collapse_;
   DistTransportStats stats_;
 
   obs::TraceRecorder* trace_ = nullptr;  ///< Null = tracing off.
@@ -586,9 +534,8 @@ class DistributedExecutor final : public ShardExecutor {
 StatusOr<std::unique_ptr<ShardExecutor>> MakeDistributedExecutor(
     const SocialGraph& graph, const CpdConfig& config, const LinkCaches& caches,
     ThreadPlan plan, DistributedOptions options) {
-  (void)caches;  // Shards sample on the workers; the coordinator needs none.
-  auto executor =
-      std::make_unique<DistributedExecutor>(graph, config, std::move(plan));
+  auto executor = std::make_unique<DistributedExecutor>(graph, config, caches,
+                                                       std::move(plan));
   CPD_RETURN_IF_ERROR(executor->Start(options));
   return std::unique_ptr<ShardExecutor>(std::move(executor));
 }
@@ -600,17 +547,7 @@ StatusOr<std::unique_ptr<ShardExecutor>> MakeDistributedExecutor(
   options.spawn_workers = config.dist_workers;
   options.worker_binary = config.dist_worker_binary;
   options.sweep_deadline_ms = config.dist_sweep_deadline_ms;
-  if (!config.dist_worker_addrs.empty()) {
-    std::string addr;
-    for (const char c : config.dist_worker_addrs + ",") {
-      if (c == ',') {
-        if (!addr.empty()) options.worker_addrs.push_back(addr);
-        addr.clear();
-      } else {
-        addr.push_back(c);
-      }
-    }
-  }
+  options.worker_addrs = config.DistWorkerAddrs();
   return MakeDistributedExecutor(graph, config, caches, std::move(plan),
                                  std::move(options));
 }

@@ -3,46 +3,35 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/diffusion_features.h"
-#include "core/gibbs_sampler.h"
-#include "core/model_state.h"
 #include "core/state_snapshot.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
-#include "util/logging.h"
+#include "parallel/shard_executor.h"
 #include "util/timer.h"
 
 namespace cpd::dist {
 
 namespace {
 
-/// Everything a session materializes from kSetup: the rebuilt graph plus one
-/// working slot (state + sampler + shared-table set), mirroring the
-/// in-process executors' Slot.
+/// Everything a session materializes from kSetup: the rebuilt graph plus a
+/// one-slot ShardRunner, the same sweep the local executor runs.
 struct Session {
-  Session(SetupMsg setup_msg)
+  explicit Session(SetupMsg setup_msg)
       : setup(std::move(setup_msg)),
         caches(setup.graph),
-        working(setup.graph, setup.config),
-        sampler(setup.graph, setup.config, caches, &working) {
-    sampler.UseExternalSparseTables(&tables);
-  }
+        runner(setup.graph, setup.config, caches, setup.shard_users.size(),
+               /*num_slots=*/1) {}
 
   SetupMsg setup;
   LinkCaches caches;
-  ModelState working;
-  GibbsSampler sampler;
-  SparseSamplerTables tables;
+  ShardRunner runner;
   StateSnapshot snapshot;
   KernelFlags flags;
   uint64_t sweep = 0;
-  uint64_t restored_params_version = 0;
   bool have_sweep = false;
 };
 
@@ -86,7 +75,8 @@ Status Serve(int fd, const WorkerHooks& hooks) {
       setup->graph.vocabulary_size() != hello->vocab_size ||
       setup->config.num_communities != hello->num_communities ||
       setup->config.num_topics != hello->num_topics ||
-      setup->shard_users.size() != hello->num_shards) {
+      setup->shard_users.size() != hello->num_shards ||
+      setup->shard_users.empty()) {
     return Status::InvalidArgument(
         "worker: Setup does not match the Hello dimensions");
   }
@@ -112,9 +102,7 @@ Status Serve(int fd, const WorkerHooks& hooks) {
         session.sweep = msg->sweep;
         session.flags = msg->flags;
         session.have_sweep = true;
-        if (session.setup.config.sampler_mode == SamplerMode::kSparse) {
-          session.tables.Rebuild(session.snapshot, nullptr);
-        }
+        session.runner.RebuildTables(session.snapshot, /*pool=*/nullptr);
         break;
       }
 
@@ -138,55 +126,20 @@ Status Serve(int fd, const WorkerHooks& hooks) {
           return Status::OK();
         }
 
-        const std::vector<UserId>& users =
-            session.setup.shard_users[msg->shard];
         Rng rng(1);
         rng.LoadState(msg->rng);
         CounterDelta delta;
         WallTimer timer;
-        // Mirrors ShardExecutorBase::RunShard: full sweep-state restore per
-        // shard (each shard starts from the snapshot, not from the previous
-        // shard's private state), parameter restore only on version change.
-        if (!users.empty()) {
-          session.snapshot.RestoreSweepStateTo(&session.working);
-          if (session.restored_params_version !=
-              session.snapshot.parameters_version()) {
-            session.snapshot.RestoreParametersTo(&session.working);
-            session.restored_params_version =
-                session.snapshot.parameters_version();
-          }
-          session.sampler.set_freeze_communities(
-              session.flags.freeze_communities);
-          session.sampler.set_community_uses_content(
-              session.flags.community_uses_content);
-          session.sampler.set_community_uses_diffusion(
-              session.flags.community_uses_diffusion);
-          session.sampler.SweepUsers(users, /*concurrent=*/false, &rng);
-          const SocialGraph& graph = session.setup.graph;
-          for (UserId u : users) {
-            for (DocId d : graph.DocumentsOf(u)) {
-              const size_t di = static_cast<size_t>(d);
-              delta.RecordMove(graph.document(d), d,
-                               session.snapshot.CommunityOf(d),
-                               session.snapshot.TopicOf(d),
-                               session.working.doc_community[di],
-                               session.working.doc_topic[di],
-                               session.setup.config.num_communities,
-                               session.setup.config.num_topics,
-                               session.working.vocab_size);
-            }
-          }
-        }
+        session.runner.Run(0, session.setup.shard_users[msg->shard],
+                           session.snapshot, session.flags, &rng, &delta);
 
         ShardResultMsg result;
         result.sweep = msg->sweep;
         result.shard = msg->shard;
         result.rng = rng.SaveState();
         result.shard_seconds = timer.ElapsedSeconds();
-        result.mh = session.sampler.mh_stats();
-        result.collapse = session.sampler.collapse_cache_stats();
-        session.sampler.ResetMhStats();
-        session.sampler.ResetCollapseCacheStats();
+        result.mh = session.runner.ConsumeMhStats();
+        result.collapse = session.runner.ConsumeCollapseCacheStats();
         CPD_RETURN_IF_ERROR(
             SendFrame(fd, MsgType::kShardResult, result.Encode(delta)));
         ++completed_shards;

@@ -4,11 +4,11 @@
 /// \file worker.h
 /// The worker half of the distributed E-step: a serve loop that speaks the
 /// src/dist/wire.h protocol over one connected socket. It rebuilds the graph
-/// and a single working-state slot from the kSetup message, then answers
-/// kRunShard requests by running the exact shard-local sweep the in-process
-/// executors run (restore snapshot -> SweepUsers with the shipped RNG stream
-/// -> RecordMove diff) and streaming the CounterDelta back. Runs inside the
-/// cpd_worker tool and, for tests, on in-process socketpair threads.
+/// and a one-slot ShardRunner from the kSetup message, then answers each
+/// kRunShard request with ShardRunner::Run, the one shard sweep every
+/// executor runs, drawing from the RNG stream the request carries, and
+/// streams the CounterDelta back. Runs inside the cpd_worker tool and, for
+/// tests, on in-process socketpair threads.
 
 #include "util/status.h"
 

@@ -41,6 +41,20 @@ CpdConfig BaseConfig() {
   return config;
 }
 
+// The shard stat totals (collapse memo, MH acceptance) travel back with
+// each shard result; they must sum to the serial run's. Dense runs report
+// zeros, so equality is the assertion, not positivity.
+void ExpectSameShardStats(EmTrainer& a, EmTrainer& b) {
+  EXPECT_EQ(a.stats().eta_collapse_hits, b.stats().eta_collapse_hits);
+  EXPECT_EQ(a.stats().eta_collapse_misses, b.stats().eta_collapse_misses);
+  const MhStats mh_a = a.sampler()->mh_stats();
+  const MhStats mh_b = b.sampler()->mh_stats();
+  EXPECT_EQ(mh_a.topic_proposals, mh_b.topic_proposals);
+  EXPECT_EQ(mh_a.topic_accepts, mh_b.topic_accepts);
+  EXPECT_EQ(mh_a.community_proposals, mh_b.community_proposals);
+  EXPECT_EQ(mh_a.community_accepts, mh_b.community_accepts);
+}
+
 void ExpectSameModel(const ModelState& a, const ModelState& b) {
   EXPECT_EQ(a.doc_topic, b.doc_topic);
   EXPECT_EQ(a.doc_community, b.doc_community);
@@ -118,6 +132,7 @@ TrainStats ExpectDistributedMatchesSerial(int num_shards, SamplerMode mode,
     EXPECT_TRUE(status.ok()) << status.ToString();
     if (status.ok()) {
       ExpectSameModel(serial.state(), dist.state());
+      ExpectSameShardStats(serial, dist);
       for (size_t i = 0; i < serial.stats().link_log_likelihood.size(); ++i) {
         EXPECT_DOUBLE_EQ(serial.stats().link_log_likelihood[i],
                          dist.stats().link_log_likelihood[i]);
@@ -313,6 +328,31 @@ TEST_F(CpdTrainFlagsTest, WorkersAndWorkerAddrsConflict) {
 TEST_F(CpdTrainFlagsTest, WorkersWithoutDistributedExecutorIsUsageError) {
   EXPECT_EQ(Run("--workers 2"), 2);
   EXPECT_EQ(Run("--executor pooled --worker_addrs 127.0.0.1:19999"), 2);
+}
+
+TEST_F(CpdTrainFlagsTest, WorkerAddrsWithOnlyEmptyEntriesIsUsageError) {
+  EXPECT_EQ(Run("--executor distributed --worker_addrs ,"), 2);
+}
+
+TEST_F(CpdTrainFlagsTest, WorkerAddrsWithTrailingCommaIsUsageError) {
+  EXPECT_EQ(Run("--executor distributed --worker_addrs 127.0.0.1:19999,"), 2);
+}
+
+// The address list is split once (CpdConfig::DistWorkerAddrs) for both the
+// worker count and the connections, so an empty entry cannot make the two
+// disagree: Validate rejects it.
+TEST(DistConfigTest, EmptyWorkerAddrEntryIsRejected) {
+  CpdConfig config = BaseConfig();
+  config.executor_mode = ExecutorMode::kDistributed;
+  config.dist_worker_addrs = "127.0.0.1:7001,127.0.0.1:7002";
+  EXPECT_TRUE(config.Validate().ok());
+  EXPECT_EQ(config.ResolvedDistWorkers(), 2);
+  EXPECT_EQ(config.ResolvedNumShards(), 2);
+  for (const char* addrs : {",", "127.0.0.1:7001,", ",127.0.0.1:7001",
+                            "127.0.0.1:7001,,127.0.0.1:7002"}) {
+    config.dist_worker_addrs = addrs;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << addrs;
+  }
 }
 
 }  // namespace

@@ -190,6 +190,17 @@ void ExpectSerialPooledIdentical(int num_shards, SamplerMode mode) {
   ASSERT_TRUE(pooled.Train().ok());
 
   ExpectSameCounters(serial.state(), pooled.state());
+  // The stat totals are summed over shards: equal whatever the dispatch
+  // (dense runs report zeros, so equality is the assertion).
+  EXPECT_EQ(serial.stats().eta_collapse_hits, pooled.stats().eta_collapse_hits);
+  EXPECT_EQ(serial.stats().eta_collapse_misses,
+            pooled.stats().eta_collapse_misses);
+  const MhStats serial_mh = serial.sampler()->mh_stats();
+  const MhStats pooled_mh = pooled.sampler()->mh_stats();
+  EXPECT_EQ(serial_mh.topic_proposals, pooled_mh.topic_proposals);
+  EXPECT_EQ(serial_mh.topic_accepts, pooled_mh.topic_accepts);
+  EXPECT_EQ(serial_mh.community_proposals, pooled_mh.community_proposals);
+  EXPECT_EQ(serial_mh.community_accepts, pooled_mh.community_accepts);
   EXPECT_EQ(serial.state().lambda, pooled.state().lambda);
   EXPECT_EQ(serial.state().delta, pooled.state().delta);
   EXPECT_EQ(serial.state().eta, pooled.state().eta);

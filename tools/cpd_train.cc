@@ -168,6 +168,13 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
+  // Out-of-range values (an empty --worker_addrs entry among them) are
+  // usage errors too.
+  if (const cpd::Status valid = config.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.message().c_str());
+    Usage(argv[0]);
+    return 2;
+  }
   config.verbose = true;
   config.trace_out = get("trace_out", "");
   if (args.count("log_level")) {
