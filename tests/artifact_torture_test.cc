@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "core/model_state.h"
 #include "serve/profile_index.h"
 #include "util/file_util.h"
+#include "util/rng.h"
 
 namespace cpd {
 namespace {
@@ -126,6 +128,32 @@ bool IsTypedFailure(const Status& status) {
   }
 }
 
+/// Reads every row an index serves; ASan sees any span that outruns its
+/// image.
+void ReadEveryRow(const serve::ProfileIndex& index) {
+  double sum = 0.0;
+  for (size_t u = 0; u < index.num_users(); ++u) {
+    for (const double weight : index.Membership(static_cast<UserId>(u))) {
+      sum += weight;
+    }
+    for (const auto& top : index.TopCommunities(static_cast<UserId>(u))) {
+      EXPECT_GE(top.community, 0);
+      EXPECT_LT(top.community, index.num_communities());
+    }
+  }
+  for (int z = 0; z < index.num_topics(); ++z) {
+    for (const double weight : index.TopicWords(z)) sum += weight;
+  }
+  for (int c = 0; c < index.num_communities(); ++c) {
+    for (const UserId member : index.CommunityMembers(c)) {
+      EXPECT_GE(member, 0);
+      EXPECT_LT(static_cast<size_t>(member), index.num_users());
+    }
+  }
+  volatile double sink = sum;  // Keeps the reads.
+  (void)sink;
+}
+
 class ArtifactTortureTest : public ::testing::Test {
  protected:
   static std::string TempPath(const std::string& name) {
@@ -155,22 +183,7 @@ class ArtifactTortureTest : public ::testing::Test {
           << "untyped bundle error " << bundle.status().ToString();
       return false;
     }
-    const serve::ProfileIndex& index = bundle->index;
-    double sum = 0.0;
-    for (size_t u = 0; u < index.num_users(); ++u) {
-      for (const double weight : index.Membership(static_cast<UserId>(u))) {
-        sum += weight;
-      }
-      for (const auto& top : index.TopCommunities(static_cast<UserId>(u))) {
-        EXPECT_GE(top.community, 0);
-        EXPECT_LT(top.community, index.num_communities());
-      }
-    }
-    for (int z = 0; z < index.num_topics(); ++z) {
-      for (const double weight : index.TopicWords(z)) sum += weight;
-    }
-    volatile double sink = sum;  // Keeps the reads.
-    (void)sink;
+    ReadEveryRow(bundle->index);
     return true;
   }
 
@@ -688,6 +701,465 @@ TEST_F(ArtifactTortureTest, DeltaForgeryTaxonomy) {
     const auto applied = ApplyModelDelta(wrong_base, *decoded);
     ASSERT_FALSE(applied.ok());
     EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+// ----- seed-reproducible mutation suites -----
+//
+// Each suite mutates pristine files with a fixed-seed generator, so every
+// input is reproducible from the suite alone. Each input must end in a
+// typed error or a valid decode (no crash, hang, or allocation sized by a
+// forged field); for v3 the heap decoder and the owned-image loader must
+// also agree on accept/reject and on the status code. Each suite prints
+// its status-code histogram, so a codec change can show that it decides
+// every input exactly as before.
+
+/// Status-code counts of one suite, plus an order-sensitive digest of the
+/// code sequence, printed when the suite ends.
+class CodeHistogram {
+ public:
+  explicit CodeHistogram(std::string suite) : suite_(std::move(suite)) {}
+  ~CodeHistogram() {
+    std::string line = "mutation histogram " + suite_ + ":";
+    for (const auto& [code, count] : counts_) {
+      line += " " + code + "=" + std::to_string(count);
+    }
+    std::printf("%s sequence=%016llx\n", line.c_str(),
+                static_cast<unsigned long long>(sequence_));
+  }
+  void Record(const std::string& label, const Status& status) {
+    ++counts_[label + (label.empty() ? "" : ":") +
+              StatusCodeToString(status.code())];
+    sequence_ = sequence_ * 31 + static_cast<uint64_t>(status.code()) + 1;
+  }
+
+ private:
+  std::string suite_;
+  std::map<std::string, int> counts_;
+  uint64_t sequence_ = 0;
+};
+
+/// True when every vector and dimension of `a` and `b` is bitwise equal
+/// (mutated doubles may be NaN, so == would not do).
+bool SameBits(const ModelArtifact& a, const ModelArtifact& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return a.num_communities == b.num_communities &&
+         a.num_topics == b.num_topics && a.num_users == b.num_users &&
+         a.vocab_size == b.vocab_size && a.num_time_bins == b.num_time_bins &&
+         a.generation == b.generation && same(a.pi, b.pi) &&
+         same(a.theta, b.theta) && same(a.phi, b.phi) && same(a.eta, b.eta) &&
+         same(a.weights, b.weights) && same(a.popularity, b.popularity) &&
+         a.vocab_words == b.vocab_words &&
+         a.vocab_frequencies == b.vocab_frequencies;
+}
+
+/// Decodes `bytes` as a .cpdb through the heap codec and the owned-image
+/// loader. Unless the loader reports a pre-v3 file (FailedPrecondition),
+/// the two must agree on the outcome and, on success, on every decoded bit.
+/// An accepted file is served and every row read; an accepted legacy file
+/// is up-converted the way LoadModelBundle does it. Returns the heap
+/// decoder's status.
+Status CheckArtifactBytes(const std::string& bytes) {
+  const auto heap = DecodeModelArtifact(bytes);
+  const auto image = MappedModelArtifact::FromBytes(bytes);
+  EXPECT_TRUE(heap.ok() || IsTypedFailure(heap.status()))
+      << heap.status().ToString();
+  EXPECT_TRUE(image.ok() || IsTypedFailure(image.status()))
+      << image.status().ToString();
+  const bool legacy =
+      image.status().code() == StatusCode::kFailedPrecondition;
+  if (!legacy) {
+    EXPECT_EQ(heap.status().code(), image.status().code())
+        << "heap: " << heap.status().ToString()
+        << " / image: " << image.status().ToString();
+  }
+  std::shared_ptr<const MappedModelArtifact> served;
+  if (image.ok()) {
+    served = *image;
+    if (heap.ok()) {
+      EXPECT_TRUE(SameBits(*heap, served->Materialize()));
+    }
+  } else if (heap.ok()) {
+    ArtifactWriteOptions options;
+    options.section_alignment = 64;
+    const auto encoded = EncodeModelArtifact(*heap, options);
+    EXPECT_TRUE(encoded.ok()) << encoded.status().ToString();
+    if (encoded.ok()) {
+      const auto converted = MappedModelArtifact::FromBytes(*encoded);
+      EXPECT_TRUE(converted.ok()) << converted.status().ToString();
+      if (converted.ok()) served = *converted;
+    }
+  }
+  if (served != nullptr) {
+    auto index = serve::ProfileIndex::FromMapped(served);
+    EXPECT_TRUE(index.ok() || IsTypedFailure(index.status()))
+        << index.status().ToString();
+    if (index.ok()) ReadEveryRow(*index);
+    Vocabulary vocab;
+    const Status built = served->BuildVocabulary(&vocab);
+    EXPECT_TRUE(built.ok() || IsTypedFailure(built)) << built.ToString();
+  }
+  return heap.status();
+}
+
+/// Decodes `bytes` as a .cpdd. An accepted delta re-encodes to the same
+/// bytes (the format has no slack), applies to `base` or fails typed, and
+/// overlays the served base image or fails typed.
+Status CheckDeltaBytes(const std::string& bytes, const ModelArtifact& base) {
+  const auto decoded = DecodeModelDelta(bytes);
+  EXPECT_TRUE(decoded.ok() || IsTypedFailure(decoded.status()))
+      << decoded.status().ToString();
+  if (!decoded.ok()) return decoded.status();
+  const auto encoded = EncodeModelDelta(*decoded);
+  EXPECT_TRUE(encoded.ok()) << encoded.status().ToString();
+  if (encoded.ok()) {
+    EXPECT_EQ(*encoded, bytes);
+  }
+  const auto applied = ApplyModelDelta(base, *decoded);
+  EXPECT_TRUE(applied.ok() || IsTypedFailure(applied.status()))
+      << applied.status().ToString();
+  ArtifactWriteOptions options;
+  options.section_alignment = 64;
+  const auto base_bytes = EncodeModelArtifact(base, options);
+  EXPECT_TRUE(base_bytes.ok());
+  const auto image = MappedModelArtifact::FromBytes(*base_bytes);
+  EXPECT_TRUE(image.ok());
+  auto index = serve::ProfileIndex::FromMappedWithDelta(
+      *image, std::make_shared<const ModelDelta>(*decoded));
+  EXPECT_TRUE(index.ok() || IsTypedFailure(index.status()))
+      << index.status().ToString();
+  if (index.ok()) ReadEveryRow(*index);
+  return decoded.status();
+}
+
+/// Flips 1..4 random bits in [begin, bytes->size()).
+void FlipBits(std::string* bytes, size_t begin, Rng* rng) {
+  const uint64_t flips = 1 + rng->NextUint64(4);
+  for (uint64_t i = 0; i < flips; ++i) {
+    const size_t at = begin + rng->NextUint64(bytes->size() - begin);
+    (*bytes)[at] = static_cast<char>((*bytes)[at] ^ (1 << rng->NextUint64(8)));
+  }
+}
+
+/// Values a forged length field takes: just past and just short of the
+/// real value, zero, and sizes no input can back.
+std::vector<uint64_t> InflatedValues(uint64_t real) {
+  return {real + 1,  real == 0 ? 1 : real - 1, 0,       real * 2 + 7,
+          255,       1ull << 31,               1ull << 32, 1ull << 61,
+          ~0ull >> 1, ~0ull};
+}
+
+/// Writes the low `width` (4 or 8) bytes of `value` at `offset`.
+void WriteField(std::string* bytes, size_t offset, size_t width,
+                uint64_t value) {
+  if (width == 4) {
+    WriteLE<uint32_t>(bytes, offset, static_cast<uint32_t>(value));
+  } else {
+    WriteLE<uint64_t>(bytes, offset, value);
+  }
+}
+
+/// Overwrites an aligned random 4- or 8-byte word in [begin, size) with an
+/// inflated value of itself.
+void InflateRandomWord(std::string* bytes, size_t begin, Rng* rng) {
+  const size_t width = rng->NextUint64(2) == 0 ? 4 : 8;
+  if (bytes->size() < begin + width) return;
+  const size_t slots = (bytes->size() - begin) / width;
+  const size_t offset = begin + width * rng->NextUint64(slots);
+  const uint64_t real = width == 4 ? ReadLE<uint32_t>(*bytes, offset)
+                                   : ReadLE<uint64_t>(*bytes, offset);
+  const std::vector<uint64_t> values = InflatedValues(real);
+  WriteField(bytes, offset, width, values[rng->NextUint64(values.size())]);
+}
+
+/// Offsets of every u32 word-length field of a vocabulary body that starts
+/// with its u64 count at `begin` (and pristine entries after it).
+std::vector<size_t> VocabLengthFields(const std::string& bytes, size_t begin,
+                                      bool with_frequencies) {
+  std::vector<size_t> fields;
+  const uint64_t count = ReadLE<uint64_t>(bytes, begin);
+  size_t cursor = begin + sizeof(uint64_t);
+  for (uint64_t i = 0; i < count; ++i) {
+    fields.push_back(cursor);
+    cursor += sizeof(uint32_t) + ReadLE<uint32_t>(bytes, cursor) +
+              (with_frequencies ? sizeof(int64_t) : 0);
+  }
+  return fields;
+}
+
+size_t V3SectionOffset(const std::string& bytes, uint32_t id) {
+  const uint32_t count = ReadLE<uint32_t>(bytes, kSectionCountOffset);
+  for (size_t i = 0; i < count; ++i) {
+    const TableEntry entry = ReadEntry(bytes, i);
+    if (entry.id == id) return static_cast<size_t>(entry.offset);
+  }
+  ADD_FAILURE() << "no section " << id;
+  return 0;
+}
+
+constexpr int kMutationRounds = 4000;
+
+TEST_F(ArtifactTortureTest, V3BodyMutationsAgreeOnBothPaths) {
+  CodeHistogram histogram("v3_body");
+  const std::string pristine = EncodeV3(MakeArtifact(/*with_vocab=*/true));
+  const uint32_t count = ReadLE<uint32_t>(pristine, kSectionCountOffset);
+  const size_t table_end = kFixedHeader + kTableEntry * count;
+  Rng rng(1701);
+  for (int round = 0; round < kMutationRounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    std::string bytes = pristine;
+    if (rng.NextUint64(2) == 0) {
+      FlipBits(&bytes, table_end, &rng);
+    } else {
+      // Inside one section's extent: the padding between sections is
+      // never read, so this aims the flips at bytes a decoder must judge.
+      const TableEntry entry = ReadEntry(pristine, rng.NextUint64(count));
+      const size_t at =
+          static_cast<size_t>(entry.offset + rng.NextUint64(entry.length));
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.NextUint64(8)));
+    }
+    histogram.Record("", CheckArtifactBytes(bytes));
+  }
+}
+
+TEST_F(ArtifactTortureTest, V3LengthFieldInflationAgreesOnBothPaths) {
+  CodeHistogram histogram("v3_lengths");
+  const std::string pristine = EncodeV3(MakeArtifact(/*with_vocab=*/true));
+  const size_t vocab = V3SectionOffset(pristine, 7);  // kVocab
+  // The vocabulary count and every word length.
+  for (const uint64_t value : InflatedValues(ReadLE<uint64_t>(pristine, vocab))) {
+    std::string bytes = pristine;
+    WriteLE<uint64_t>(&bytes, vocab, value);
+    histogram.Record("count", CheckArtifactBytes(bytes));
+  }
+  for (const size_t field : VocabLengthFields(pristine, vocab, true)) {
+    for (const uint64_t value :
+         InflatedValues(ReadLE<uint32_t>(pristine, field))) {
+      std::string bytes = pristine;
+      WriteLE<uint32_t>(&bytes, field, static_cast<uint32_t>(value));
+      histogram.Record("word_length", CheckArtifactBytes(bytes));
+    }
+  }
+  // Every section-table length, checksum re-stamped so the forgery reaches
+  // the geometry checks.
+  const uint32_t count = ReadLE<uint32_t>(pristine, kSectionCountOffset);
+  for (size_t i = 0; i < count; ++i) {
+    for (const uint64_t value : InflatedValues(ReadEntry(pristine, i).length)) {
+      std::string bytes = pristine;
+      TableEntry entry = ReadEntry(bytes, i);
+      entry.length = value;
+      WriteEntry(&bytes, i, entry);
+      FixV3Checksum(&bytes);
+      histogram.Record("table_length", CheckArtifactBytes(bytes));
+    }
+  }
+  // Random words of the body, inflated.
+  Rng rng(1702);
+  const size_t table_end = kFixedHeader + kTableEntry * count;
+  for (int round = 0; round < kMutationRounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    std::string bytes = pristine;
+    InflateRandomWord(&bytes, table_end, &rng);
+    histogram.Record("random", CheckArtifactBytes(bytes));
+  }
+}
+
+TEST_F(ArtifactTortureTest, LegacyMutationsEndTypedOrDecode) {
+  constexpr size_t kLegacyHeader = 52;
+  for (const uint32_t version : {1u, 2u}) {
+    CodeHistogram histogram(version == 1 ? "v1" : "v2");
+    const ModelArtifact artifact = MakeArtifact(/*with_vocab=*/version >= 2);
+    const std::string pristine =
+        testing::EncodeLegacyArtifact(artifact, version);
+    // Header dims and counts.
+    for (const size_t offset : {size_t{24}, size_t{32}, size_t{44}}) {
+      for (const uint64_t value :
+           InflatedValues(ReadLE<uint64_t>(pristine, offset))) {
+        std::string bytes = pristine;
+        WriteLE<uint64_t>(&bytes, offset, value);
+        histogram.Record("header", CheckArtifactBytes(bytes));
+      }
+    }
+    if (version == 2) {
+      // The vocabulary trailer starts after the last matrix.
+      const size_t vocab = pristine.size() - [&] {
+        size_t trailer = sizeof(uint64_t);
+        for (const std::string& word : artifact.vocab_words) {
+          trailer += sizeof(uint32_t) + word.size() + sizeof(int64_t);
+        }
+        return trailer;
+      }();
+      for (const uint64_t value :
+           InflatedValues(ReadLE<uint64_t>(pristine, vocab))) {
+        std::string bytes = pristine;
+        WriteLE<uint64_t>(&bytes, vocab, value);
+        histogram.Record("count", CheckArtifactBytes(bytes));
+      }
+      for (const size_t field : VocabLengthFields(pristine, vocab, true)) {
+        for (const uint64_t value :
+             InflatedValues(ReadLE<uint32_t>(pristine, field))) {
+          std::string bytes = pristine;
+          WriteLE<uint32_t>(&bytes, field, static_cast<uint32_t>(value));
+          histogram.Record("word_length", CheckArtifactBytes(bytes));
+        }
+      }
+    }
+    Rng rng(1710 + version);
+    for (int round = 0; round < kMutationRounds; ++round) {
+      SCOPED_TRACE(::testing::Message() << "v" << version << " round "
+                                        << round);
+      std::string bytes = pristine;
+      if (rng.NextUint64(2) == 0) {
+        FlipBits(&bytes, kLegacyHeader, &rng);
+        histogram.Record("flip", CheckArtifactBytes(bytes));
+      } else {
+        InflateRandomWord(&bytes, kLegacyHeader, &rng);
+        histogram.Record("random", CheckArtifactBytes(bytes));
+      }
+    }
+  }
+}
+
+/// `base` grown by two users and two words, with one old row changed: the
+/// delta then carries touched rows, new users and appended words.
+ModelArtifact GrownTarget(const ModelArtifact& base) {
+  ModelArtifact target = base;
+  target.generation = base.generation + 1;
+  target.num_users += 2;
+  target.vocab_size += 2;
+  const size_t kc = static_cast<size_t>(base.num_communities);
+  const size_t kz = static_cast<size_t>(base.num_topics);
+  for (size_t i = 0; i < 2 * kc; ++i) target.pi.push_back(0.5 + i);
+  target.pi[5] *= 2.0;
+  target.phi.assign(kz * target.vocab_size, 0.0);
+  for (size_t i = 0; i < target.phi.size(); ++i) target.phi[i] = 1.0 / (2 + i);
+  target.vocab_words.push_back("epsilon");
+  target.vocab_words.push_back("zeta");
+  target.vocab_frequencies = {4, 4, 4, 4, 4, 2, 2};
+  return target;
+}
+
+TEST_F(ArtifactTortureTest, DeltaMutationsEndTypedOrDecode) {
+  CodeHistogram histogram("delta");
+  const ModelArtifact base = MakeArtifact(/*with_vocab=*/true);
+  const ModelArtifact target = GrownTarget(base);
+  auto delta = BuildModelDelta(base, target);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_EQ(delta->appended_words.size(), 2u);
+  auto encoded = EncodeModelDelta(*delta);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  const std::string pristine = *encoded;
+  ASSERT_TRUE(CheckDeltaBytes(pristine, base).ok());
+  constexpr size_t kDeltaHeader = 96;
+  constexpr size_t kDeltaChecksum = 92;
+  const auto restamp = [](std::string* bytes) {
+    WriteLE<uint32_t>(bytes, kDeltaChecksum, 0);
+    uint32_t hash = 2166136261u;
+    for (size_t i = 0; i < kDeltaHeader; ++i) {
+      hash = (hash ^ static_cast<uint8_t>((*bytes)[i])) * 16777619u;
+    }
+    WriteLE<uint32_t>(bytes, kDeltaChecksum, hash);
+  };
+  // Header counts and dims (checksum re-stamped): |U|, |W|, base |U|,
+  // base |W|, touched_user_count.
+  for (const size_t offset : {size_t{24}, size_t{32}, size_t{68}, size_t{76},
+                              size_t{84}}) {
+    for (const uint64_t value :
+         InflatedValues(ReadLE<uint64_t>(pristine, offset))) {
+      std::string bytes = pristine;
+      WriteLE<uint64_t>(&bytes, offset, value);
+      restamp(&bytes);
+      histogram.Record("header", CheckDeltaBytes(bytes, base));
+    }
+  }
+  // The vocabulary tail: appended-word count, each word length, and the
+  // frequency count.
+  const size_t frequencies =
+      pristine.size() - sizeof(uint64_t) -
+      delta->vocab_frequencies.size() * sizeof(int64_t);
+  size_t appended = frequencies - sizeof(uint64_t);
+  for (const std::string& word : delta->appended_words) {
+    appended -= sizeof(uint32_t) + word.size();
+  }
+  ASSERT_EQ(ReadLE<uint64_t>(pristine, appended), 2u);
+  ASSERT_EQ(ReadLE<uint64_t>(pristine, frequencies),
+            delta->vocab_frequencies.size());
+  for (const size_t field : {appended, frequencies}) {
+    for (const uint64_t value :
+         InflatedValues(ReadLE<uint64_t>(pristine, field))) {
+      std::string bytes = pristine;
+      WriteLE<uint64_t>(&bytes, field, value);
+      histogram.Record(field == appended ? "appended_count" : "freq_count",
+                       CheckDeltaBytes(bytes, base));
+    }
+  }
+  for (const size_t field : VocabLengthFields(pristine, appended, false)) {
+    for (const uint64_t value :
+         InflatedValues(ReadLE<uint32_t>(pristine, field))) {
+      std::string bytes = pristine;
+      WriteLE<uint32_t>(&bytes, field, static_cast<uint32_t>(value));
+      histogram.Record("word_length", CheckDeltaBytes(bytes, base));
+    }
+  }
+  Rng rng(1720);
+  for (int round = 0; round < kMutationRounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    std::string bytes = pristine;
+    if (rng.NextUint64(2) == 0) {
+      FlipBits(&bytes, kDeltaHeader, &rng);
+      histogram.Record("flip", CheckDeltaBytes(bytes, base));
+    } else {
+      InflateRandomWord(&bytes, kDeltaHeader, &rng);
+      histogram.Record("random", CheckDeltaBytes(bytes, base));
+    }
+  }
+}
+
+TEST_F(ArtifactTortureTest, SplicedFilesEndTypedOrDecode) {
+  CodeHistogram histogram("splice");
+  const ModelArtifact with_vocab = MakeArtifact(/*with_vocab=*/true);
+  ModelArtifact rescaled = with_vocab;  // Same geometry, other values.
+  for (double& value : rescaled.pi) value *= 3.0;
+  for (double& value : rescaled.phi) value += 1.0;
+  auto delta = BuildModelDelta(with_vocab, GrownTarget(with_vocab));
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  auto delta_bytes = EncodeModelDelta(*delta);
+  ASSERT_TRUE(delta_bytes.ok());
+  const std::vector<std::string> corpus = {
+      EncodeV3(with_vocab),
+      EncodeV3(rescaled),
+      EncodeV3(MakeArtifact(/*with_vocab=*/false), /*top_k=*/0,
+               /*alignment=*/8),
+      testing::EncodeLegacyArtifact(with_vocab, 2),
+      testing::EncodeLegacyArtifact(MakeArtifact(/*with_vocab=*/false), 1),
+      *delta_bytes,
+  };
+  Rng rng(1730);
+  for (int round = 0; round < 2 * kMutationRounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const std::string& a = corpus[rng.NextUint64(corpus.size())];
+    const std::string& b = corpus[rng.NextUint64(corpus.size())];
+    std::string bytes;
+    if (rng.NextUint64(2) == 0) {
+      // a's head, b's tail.
+      bytes = a.substr(0, rng.NextUint64(a.size() + 1));
+      bytes.append(b, rng.NextUint64(b.size() + 1));
+    } else {
+      // A run of b pasted over a at the same or a random offset.
+      bytes = a;
+      const size_t length = 1 + rng.NextUint64(64);
+      const size_t from = rng.NextUint64(b.size());
+      const size_t to =
+          rng.NextUint64(2) == 0 ? from : rng.NextUint64(bytes.size());
+      bytes.replace(std::min(to, bytes.size()), length,
+                    b.substr(from, length));
+    }
+    histogram.Record("artifact", CheckArtifactBytes(bytes));
+    histogram.Record("delta", CheckDeltaBytes(bytes, with_vocab));
   }
 }
 
