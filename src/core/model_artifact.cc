@@ -12,6 +12,7 @@
 #include "core/model_state.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
+#include "util/wire_format.h"
 
 namespace cpd {
 
@@ -21,63 +22,6 @@ namespace {
 /// headers: every dimension fits in 64 bits, so no product of two (plus a
 /// sum of a handful) can wrap 128.
 using uint128_t = unsigned __int128;
-
-// Little-endian fixed-width append/read helpers. The encoder always writes
-// host byte order and stamps kModelArtifactEndianTag; the decoder rejects a
-// foreign tag instead of byte-swapping (every deployment target of this
-// library is little-endian; a swap path would be untested dead code).
-template <typename T>
-void AppendRaw(std::string* out, const T& value) {
-  const char* bytes = reinterpret_cast<const char*>(&value);
-  out->append(bytes, sizeof(T));
-}
-
-template <typename T>
-T ReadAt(const char* data, size_t offset) {
-  T value;
-  std::memcpy(&value, data + offset, sizeof(T));
-  return value;
-}
-
-template <typename T>
-void WriteAt(char* data, size_t offset, const T& value) {
-  std::memcpy(data + offset, &value, sizeof(T));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    if (offset_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadDoubles(size_t count, std::vector<double>* out) {
-    const size_t bytes_needed = count * sizeof(double);
-    if (offset_ + bytes_needed > bytes_.size()) return false;
-    out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + offset_, bytes_needed);
-    offset_ += bytes_needed;
-    return true;
-  }
-
-  bool ReadString(size_t length, std::string* out) {
-    if (offset_ + length > bytes_.size()) return false;
-    out->assign(bytes_.data() + offset_, length);
-    offset_ += length;
-    return true;
-  }
-
-  size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  const std::string& bytes_;
-  size_t offset_ = 0;
-};
 
 // ----- v3 fixed geometry -----
 // 0  magic[8]           40 i32 T
@@ -98,61 +42,64 @@ size_t AlignUp(size_t value, size_t alignment) {
   return (value + alignment - 1) / alignment * alignment;
 }
 
-/// FNV-1a 32 over the header + section table, with the stored checksum
-/// field read as zero — so *any* flipped bit in the fixed header or the
-/// offset table is a typed error, not a silently different layout.
-uint32_t HeaderChecksum(const char* data, size_t header_end) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < header_end; ++i) {
-    const unsigned char byte =
-        (i >= kV3ChecksumOffset && i < kV3ChecksumOffset + sizeof(uint32_t))
-            ? 0u
-            : static_cast<unsigned char>(data[i]);
-    hash = (hash ^ byte) * 16777619u;
-  }
-  return hash;
-}
-
-uint128_t SectionExpectedBytes(ArtifactSection id,
-                               const ArtifactV3Layout& layout);
-
-/// Parses one bundled-vocabulary section body (count already validated by
-/// ParseV3Layout for v3; the bounds checks stay so the v2 decoder and
-/// Materialize can share it defensively).
-Status ParseVocabSection(const char* section, uint64_t length,
-                         std::vector<std::string>* words,
-                         std::vector<int64_t>* frequencies) {
-  if (length < sizeof(uint64_t)) {
-    return Status::OutOfRange("model artifact: truncated vocabulary section");
-  }
-  const uint64_t count = ReadAt<uint64_t>(section, 0);
-  // A word entry is at least 12 bytes; a crafted count cannot force a huge
-  // reserve ahead of the bounded walk below.
-  words->reserve(static_cast<size_t>(
-      std::min<uint64_t>(count, length / 12 + 1)));
-  frequencies->reserve(words->capacity());
-  uint64_t cursor = sizeof(uint64_t);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (cursor + sizeof(uint32_t) > length) {
-      return Status::OutOfRange("model artifact: truncated vocabulary section");
-    }
-    const uint32_t word_length = ReadAt<uint32_t>(section, cursor);
-    cursor += sizeof(uint32_t);
-    if (word_length > length || cursor + word_length > length ||
-        cursor + word_length + sizeof(int64_t) > length) {
-      return Status::OutOfRange("model artifact: truncated vocabulary section");
-    }
-    words->emplace_back(section + cursor, word_length);
-    cursor += word_length;
-    frequencies->push_back(ReadAt<int64_t>(section, cursor));
-    cursor += sizeof(int64_t);
-  }
-  if (cursor != length) {
+Status CheckAlignment(uint32_t alignment) {
+  if (alignment < 8 || alignment > kV3MaxAlignment ||
+      (alignment & (alignment - 1)) != 0) {
     return Status::InvalidArgument(StrFormat(
-        "model artifact: %llu trailing bytes in the vocabulary section",
-        static_cast<unsigned long long>(length - cursor)));
+        "model artifact: section alignment %u is not a power of two in "
+        "[8, %u]",
+        alignment, kV3MaxAlignment));
   }
   return Status::OK();
+}
+
+/// The bytes of one v3 section of a validated layout.
+std::string_view SectionBytes(const char* data, const ArtifactV3Layout& layout,
+                              ArtifactSection id) {
+  const ArtifactV3Layout::Extent& extent =
+      layout.sections[static_cast<uint32_t>(id)];
+  return {data + extent.offset, static_cast<size_t>(extent.length)};
+}
+
+/// The one walk over a bundled vocabulary. A v2 trailer and a v3 section
+/// hold the same bytes, u64 count | count x (u32 len | bytes | i64 freq),
+/// and the count must be 0 or `vocab_size`. Validates only when `words` is
+/// null, else also fills `words` and `frequencies`. Stops after the last
+/// entry; what follows is the caller's to judge. Returns the count.
+StatusOr<uint64_t> ReadVocabulary(WireReader* reader, uint64_t vocab_size,
+                                  std::vector<std::string>* words,
+                                  std::vector<int64_t>* frequencies) {
+  const uint64_t count = reader->U64();
+  if (!reader->ok()) {
+    return Status::OutOfRange("model artifact: truncated vocabulary section");
+  }
+  if (count != 0 && count != vocab_size) {
+    return Status::InvalidArgument(StrFormat(
+        "model artifact: vocabulary section has %llu words, header says "
+        "|W|=%llu",
+        static_cast<unsigned long long>(count),
+        static_cast<unsigned long long>(vocab_size)));
+  }
+  if (words != nullptr) {
+    // An entry is at least 12 bytes, so the input bounds the reserve.
+    const size_t bound = static_cast<size_t>(
+        std::min<uint64_t>(count, reader->remaining() / 12 + 1));
+    words->reserve(bound);
+    frequencies->reserve(bound);
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    const std::string_view word = reader->Bytes(reader->U32());
+    const int64_t frequency = reader->I64();
+    if (!reader->ok()) {
+      return Status::OutOfRange(
+          "model artifact: truncated vocabulary section");
+    }
+    if (words != nullptr) {
+      words->emplace_back(word);
+      frequencies->push_back(frequency);
+    }
+  }
+  return count;
 }
 
 Status VocabularyFromWords(const std::vector<std::string>& words,
@@ -260,26 +207,28 @@ namespace {
 
 std::string EncodeVocabSection(const ModelArtifact& artifact) {
   std::string out;
-  AppendRaw(&out, static_cast<uint64_t>(artifact.vocab_words.size()));
+  WireWriter writer(&out);
+  writer.U64(artifact.vocab_words.size());
   for (size_t i = 0; i < artifact.vocab_words.size(); ++i) {
     const std::string& word = artifact.vocab_words[i];
-    AppendRaw(&out, static_cast<uint32_t>(word.size()));
-    out.append(word);
-    AppendRaw(&out, artifact.vocab_frequencies[i]);
+    writer.U32(static_cast<uint32_t>(word.size()));
+    writer.Bytes(word);
+    writer.I64(artifact.vocab_frequencies[i]);
   }
   return out;
+}
+
+/// The packed bytes of a vector, as one section payload.
+template <typename T>
+std::string_view PayloadBytes(const std::vector<T>& values) {
+  return {reinterpret_cast<const char*>(values.data()),
+          values.size() * sizeof(T)};
 }
 
 StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
                                const ArtifactWriteOptions& options) {
   const uint32_t alignment = options.section_alignment;
-  if (alignment < 8 || alignment > kV3MaxAlignment ||
-      (alignment & (alignment - 1)) != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "model artifact: section alignment %u is not a power of two in "
-        "[8, %u]",
-        alignment, kV3MaxAlignment));
-  }
+  CPD_RETURN_IF_ERROR(CheckAlignment(alignment));
   const ArtifactDerived derived = BuildArtifactDerived(
       std::span<const double>(artifact.pi),
       std::span<const double>(artifact.eta), artifact.num_communities,
@@ -289,41 +238,29 @@ StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
 
   struct Payload {
     ArtifactSection id;
-    const char* data;
-    size_t bytes;
-  };
-  const auto doubles = [](const std::vector<double>& v, ArtifactSection id) {
-    return Payload{id, reinterpret_cast<const char*>(v.data()),
-                   v.size() * sizeof(double)};
+    std::string_view bytes;
   };
   std::vector<Payload> payloads = {
-      doubles(artifact.pi, ArtifactSection::kPi),
-      doubles(artifact.theta, ArtifactSection::kTheta),
-      doubles(artifact.phi, ArtifactSection::kPhi),
-      doubles(artifact.eta, ArtifactSection::kEta),
-      doubles(artifact.weights, ArtifactSection::kWeights),
-      doubles(artifact.popularity, ArtifactSection::kPopularity),
-      Payload{ArtifactSection::kVocab, vocab_section.data(),
-              vocab_section.size()},
-      doubles(derived.eta_agg, ArtifactSection::kEtaAgg),
+      {ArtifactSection::kPi, PayloadBytes(artifact.pi)},
+      {ArtifactSection::kTheta, PayloadBytes(artifact.theta)},
+      {ArtifactSection::kPhi, PayloadBytes(artifact.phi)},
+      {ArtifactSection::kEta, PayloadBytes(artifact.eta)},
+      {ArtifactSection::kWeights, PayloadBytes(artifact.weights)},
+      {ArtifactSection::kPopularity, PayloadBytes(artifact.popularity)},
+      {ArtifactSection::kVocab, vocab_section},
+      {ArtifactSection::kEtaAgg, PayloadBytes(derived.eta_agg)},
   };
   if (options.derived_top_k > 0) {
-    payloads.push_back(Payload{
-        ArtifactSection::kTopkCommunities,
-        reinterpret_cast<const char*>(derived.topk_communities.data()),
-        derived.topk_communities.size() * sizeof(int32_t)});
-    payloads.push_back(doubles(derived.topk_weights,
-                               ArtifactSection::kTopkWeights));
-    payloads.push_back(Payload{
-        ArtifactSection::kMemberOffsets,
-        reinterpret_cast<const char*>(derived.member_offsets.data()),
-        derived.member_offsets.size() * sizeof(uint64_t)});
+    payloads.push_back({ArtifactSection::kTopkCommunities,
+                        PayloadBytes(derived.topk_communities)});
     payloads.push_back(
-        Payload{ArtifactSection::kMembers,
-                reinterpret_cast<const char*>(derived.members.data()),
-                derived.members.size() * sizeof(int32_t)});
-    payloads.push_back(doubles(derived.member_weights,
-                               ArtifactSection::kMemberWeights));
+        {ArtifactSection::kTopkWeights, PayloadBytes(derived.topk_weights)});
+    payloads.push_back({ArtifactSection::kMemberOffsets,
+                        PayloadBytes(derived.member_offsets)});
+    payloads.push_back(
+        {ArtifactSection::kMembers, PayloadBytes(derived.members)});
+    payloads.push_back({ArtifactSection::kMemberWeights,
+                        PayloadBytes(derived.member_weights)});
   }
 
   const size_t table_end =
@@ -333,46 +270,86 @@ StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
   for (size_t i = 0; i < payloads.size(); ++i) {
     cursor = AlignUp(cursor, alignment);
     offsets[i] = cursor;
-    cursor += payloads[i].bytes;
+    cursor += payloads[i].bytes.size();
   }
-  std::string out(cursor, '\0');
-  char* data = out.data();
-  std::memcpy(data, kModelArtifactMagic, sizeof(kModelArtifactMagic));
-  WriteAt<uint32_t>(data, 8, 3u);
-  WriteAt<uint32_t>(data, 12, kModelArtifactEndianTag);
-  WriteAt<int32_t>(data, 16, artifact.num_communities);
-  WriteAt<int32_t>(data, 20, artifact.num_topics);
-  WriteAt<uint64_t>(data, 24, artifact.num_users);
-  WriteAt<uint64_t>(data, 32, artifact.vocab_size);
-  WriteAt<int32_t>(data, 40, artifact.num_time_bins);
-  WriteAt<uint64_t>(data, 44, static_cast<uint64_t>(artifact.weights.size()));
-  WriteAt<uint32_t>(data, 52, alignment);
-  WriteAt<uint32_t>(data, 56, static_cast<uint32_t>(payloads.size()));
-  WriteAt<uint32_t>(data, 60, options.derived_top_k);
-  WriteAt<uint32_t>(data, kV3ChecksumOffset, 0u);
-  WriteAt<uint64_t>(data, 68, artifact.generation);
+  std::string out;
+  out.reserve(cursor);
+  WireWriter writer(&out);
+  writer.Bytes({kModelArtifactMagic, sizeof(kModelArtifactMagic)});
+  writer.U32(3u);
+  writer.U32(kModelArtifactEndianTag);
+  writer.I32(artifact.num_communities);
+  writer.I32(artifact.num_topics);
+  writer.U64(artifact.num_users);
+  writer.U64(artifact.vocab_size);
+  writer.I32(artifact.num_time_bins);
+  writer.U64(artifact.weights.size());
+  writer.U32(alignment);
+  writer.U32(static_cast<uint32_t>(payloads.size()));
+  writer.U32(options.derived_top_k);
+  writer.U32(0u);  // Header checksum, stored below.
+  writer.U64(artifact.generation);
   for (size_t i = 0; i < payloads.size(); ++i) {
-    const size_t entry = kV3FixedHeaderBytes + i * kV3TableEntryBytes;
-    WriteAt<uint32_t>(data, entry, static_cast<uint32_t>(payloads[i].id));
-    WriteAt<uint32_t>(data, entry + 4, 0u);
-    WriteAt<uint64_t>(data, entry + 8, offsets[i]);
-    WriteAt<uint64_t>(data, entry + 16, payloads[i].bytes);
-    if (payloads[i].bytes != 0) {
-      std::memcpy(data + offsets[i], payloads[i].data, payloads[i].bytes);
-    }
+    writer.U32(static_cast<uint32_t>(payloads[i].id));
+    writer.U32(0u);
+    writer.U64(offsets[i]);
+    writer.U64(payloads[i].bytes.size());
   }
-  WriteAt<uint32_t>(data, kV3ChecksumOffset, HeaderChecksum(data, table_end));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    out.resize(offsets[i], '\0');  // Zero padding up to the alignment.
+    writer.Bytes(payloads[i].bytes);
+  }
+  writer.StoreAt<uint32_t>(
+      kV3ChecksumOffset,
+      HeaderChecksum(std::string_view(out).substr(0, table_end),
+                     kV3ChecksumOffset));
   return out;
 }
 
-}  // namespace
-
-StatusOr<std::string> EncodeModelArtifact(const ModelArtifact& artifact,
-                                          const ArtifactWriteOptions& options) {
-  CPD_RETURN_IF_ERROR(artifact.Validate());
-  return EncodeV3(artifact, options);
+uint128_t SectionExpectedBytes(ArtifactSection id,
+                               const ArtifactV3Layout& layout) {
+  const uint128_t kc = static_cast<uint128_t>(layout.num_communities);
+  const uint128_t kz = static_cast<uint128_t>(layout.num_topics);
+  const uint128_t kt = static_cast<uint128_t>(layout.num_time_bins);
+  const uint128_t ku = static_cast<uint128_t>(layout.num_users);
+  const uint128_t kw = static_cast<uint128_t>(layout.vocab_size);
+  const uint128_t k = static_cast<uint128_t>(layout.effective_top_k());
+  switch (id) {
+    case ArtifactSection::kPi:
+      return ku * kc * sizeof(double);
+    case ArtifactSection::kTheta:
+      return kc * kz * sizeof(double);
+    case ArtifactSection::kPhi:
+      return kz * kw * sizeof(double);
+    case ArtifactSection::kEta:
+      return kc * kc * kz * sizeof(double);
+    case ArtifactSection::kWeights:
+      return static_cast<uint128_t>(layout.num_weights) * sizeof(double);
+    case ArtifactSection::kPopularity:
+      return kt * kz * sizeof(double);
+    case ArtifactSection::kVocab:
+      return 0;  // Validated by the internal walk instead.
+    case ArtifactSection::kEtaAgg:
+      return kc * kc * sizeof(double);
+    case ArtifactSection::kTopkCommunities:
+      return ku * k * sizeof(int32_t);
+    case ArtifactSection::kTopkWeights:
+      return ku * k * sizeof(double);
+    case ArtifactSection::kMemberOffsets:
+      return (kc + 1) * sizeof(uint64_t);
+    case ArtifactSection::kMembers:
+      return ku * k * sizeof(int32_t);
+    case ArtifactSection::kMemberWeights:
+      return ku * k * sizeof(double);
+  }
+  return 0;
 }
 
+/// Validates `data[0..size)` as a v3 artifact whose preamble already
+/// passed CheckModelFilePreamble, and fills `layout`: checksum, table,
+/// section geometry and the vocabulary/posting internals are all checked
+/// here, with section-named typed errors. The heap decoder and the mapped
+/// reader both call it, so the two cannot disagree on what a valid file is.
 Status ParseV3Layout(const char* data, size_t size,
                      ArtifactV3Layout* layout) {
   if (size < kV3FixedHeaderBytes) {
@@ -380,17 +357,19 @@ Status ParseV3Layout(const char* data, size_t size,
         "model artifact: truncated v3 header (%zu bytes, need %zu)", size,
         kV3FixedHeaderBytes));
   }
-  layout->num_communities = ReadAt<int32_t>(data, 16);
-  layout->num_topics = ReadAt<int32_t>(data, 20);
-  layout->num_users = ReadAt<uint64_t>(data, 24);
-  layout->vocab_size = ReadAt<uint64_t>(data, 32);
-  layout->num_time_bins = ReadAt<int32_t>(data, 40);
-  layout->num_weights = ReadAt<uint64_t>(data, 44);
-  layout->section_alignment = ReadAt<uint32_t>(data, 52);
-  const uint32_t section_count = ReadAt<uint32_t>(data, 56);
-  layout->derived_top_k = ReadAt<uint32_t>(data, 60);
-  const uint32_t stored_checksum = ReadAt<uint32_t>(data, kV3ChecksumOffset);
-  layout->generation = ReadAt<uint64_t>(data, 68);
+  WireReader header(std::string_view(data, size));
+  header.Bytes(kModelFilePreambleBytes);
+  layout->num_communities = header.I32();
+  layout->num_topics = header.I32();
+  layout->num_users = header.U64();
+  layout->vocab_size = header.U64();
+  layout->num_time_bins = header.I32();
+  layout->num_weights = header.U64();
+  layout->section_alignment = header.U32();
+  const uint32_t section_count = header.U32();
+  layout->derived_top_k = header.U32();
+  const uint32_t stored_checksum = header.U32();
+  layout->generation = header.U64();
 
   if (layout->num_communities < 1 || layout->num_topics < 1 ||
       layout->num_time_bins < 1) {
@@ -404,13 +383,7 @@ Status ParseV3Layout(const char* data, size_t size,
                   kNumDiffusionWeights));
   }
   const uint32_t alignment = layout->section_alignment;
-  if (alignment < 8 || alignment > kV3MaxAlignment ||
-      (alignment & (alignment - 1)) != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "model artifact: section alignment %u is not a power of two in "
-        "[8, %u]",
-        alignment, kV3MaxAlignment));
-  }
+  CPD_RETURN_IF_ERROR(CheckAlignment(alignment));
   if (section_count < 1 || section_count > kV3MaxSections) {
     return Status::InvalidArgument(
         StrFormat("model artifact: implausible section count %u",
@@ -424,7 +397,8 @@ Status ParseV3Layout(const char* data, size_t size,
         "bytes, file has %zu)",
         section_count, table_end, size));
   }
-  if (HeaderChecksum(data, table_end) != stored_checksum) {
+  if (HeaderChecksum(std::string_view(data, table_end), kV3ChecksumOffset) !=
+      stored_checksum) {
     return Status::InvalidArgument(
         "model artifact: header checksum mismatch (corrupt header or "
         "section table)");
@@ -441,11 +415,10 @@ Status ParseV3Layout(const char* data, size_t size,
   std::vector<Placed> placed;
   placed.reserve(section_count);
   for (uint32_t i = 0; i < section_count; ++i) {
-    const size_t entry = kV3FixedHeaderBytes + i * kV3TableEntryBytes;
-    const uint32_t id = ReadAt<uint32_t>(data, entry);
-    const uint32_t reserved = ReadAt<uint32_t>(data, entry + 4);
-    const uint64_t offset = ReadAt<uint64_t>(data, entry + 8);
-    const uint64_t length = ReadAt<uint64_t>(data, entry + 16);
+    const uint32_t id = header.U32();
+    const uint32_t reserved = header.U32();
+    const uint64_t offset = header.U64();
+    const uint64_t length = header.U64();
     if (id < 1 || id > kArtifactSectionMax) {
       return Status::InvalidArgument(
           StrFormat("model artifact: unknown section id %u", id));
@@ -533,44 +506,16 @@ Status ParseV3Layout(const char* data, size_t size,
 
   // Vocabulary internals: count must be 0 or |W| and the entries must pack
   // the section exactly.
-  {
-    const auto& vocab = layout->sections[static_cast<uint32_t>(
-        ArtifactSection::kVocab)];
-    if (vocab.length < sizeof(uint64_t)) {
-      return Status::OutOfRange(
-          "model artifact: truncated vocabulary section");
-    }
-    const uint64_t count = ReadAt<uint64_t>(data + vocab.offset, 0);
-    if (count != 0 && count != layout->vocab_size) {
-      return Status::InvalidArgument(StrFormat(
-          "model artifact: vocabulary section has %llu words, header says "
-          "|W|=%llu",
-          static_cast<unsigned long long>(count),
-          static_cast<unsigned long long>(layout->vocab_size)));
-    }
-    uint64_t cursor = sizeof(uint64_t);
-    for (uint64_t i = 0; i < count; ++i) {
-      if (cursor + sizeof(uint32_t) > vocab.length) {
-        return Status::OutOfRange(
-            "model artifact: truncated vocabulary section");
-      }
-      const uint32_t word_length =
-          ReadAt<uint32_t>(data + vocab.offset, cursor);
-      cursor += sizeof(uint32_t);
-      if (word_length > vocab.length || cursor + word_length > vocab.length ||
-          cursor + word_length + sizeof(int64_t) > vocab.length) {
-        return Status::OutOfRange(
-            "model artifact: truncated vocabulary section");
-      }
-      cursor += word_length + sizeof(int64_t);
-    }
-    if (cursor != vocab.length) {
-      return Status::InvalidArgument(StrFormat(
-          "model artifact: %llu trailing bytes in the vocabulary section",
-          static_cast<unsigned long long>(vocab.length - cursor)));
-    }
-    layout->vocab_count = count;
+  WireReader vocab(SectionBytes(data, *layout, ArtifactSection::kVocab));
+  const auto vocab_count =
+      ReadVocabulary(&vocab, layout->vocab_size, nullptr, nullptr);
+  if (!vocab_count.ok()) return vocab_count.status();
+  if (vocab.remaining() != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "model artifact: %zu trailing bytes in the vocabulary section",
+        vocab.remaining()));
   }
+  layout->vocab_count = *vocab_count;
 
   // Derived-structure internals: every id a query would chase must resolve,
   // so a corrupt stored structure is a load error, not an out-of-bounds
@@ -627,50 +572,12 @@ Status ParseV3Layout(const char* data, size_t size,
   return Status::OK();
 }
 
-namespace {
-
-uint128_t SectionExpectedBytes(ArtifactSection id,
-                               const ArtifactV3Layout& layout) {
-  const uint128_t kc = static_cast<uint128_t>(layout.num_communities);
-  const uint128_t kz = static_cast<uint128_t>(layout.num_topics);
-  const uint128_t kt = static_cast<uint128_t>(layout.num_time_bins);
-  const uint128_t ku = static_cast<uint128_t>(layout.num_users);
-  const uint128_t kw = static_cast<uint128_t>(layout.vocab_size);
-  const uint128_t k = static_cast<uint128_t>(layout.effective_top_k());
-  switch (id) {
-    case ArtifactSection::kPi:
-      return ku * kc * sizeof(double);
-    case ArtifactSection::kTheta:
-      return kc * kz * sizeof(double);
-    case ArtifactSection::kPhi:
-      return kz * kw * sizeof(double);
-    case ArtifactSection::kEta:
-      return kc * kc * kz * sizeof(double);
-    case ArtifactSection::kWeights:
-      return static_cast<uint128_t>(layout.num_weights) * sizeof(double);
-    case ArtifactSection::kPopularity:
-      return kt * kz * sizeof(double);
-    case ArtifactSection::kVocab:
-      return 0;  // Validated by the internal walk instead.
-    case ArtifactSection::kEtaAgg:
-      return kc * kc * sizeof(double);
-    case ArtifactSection::kTopkCommunities:
-      return ku * k * sizeof(int32_t);
-    case ArtifactSection::kTopkWeights:
-      return ku * k * sizeof(double);
-    case ArtifactSection::kMemberOffsets:
-      return (kc + 1) * sizeof(uint64_t);
-    case ArtifactSection::kMembers:
-      return ku * k * sizeof(int32_t);
-    case ArtifactSection::kMemberWeights:
-      return ku * k * sizeof(double);
-  }
-  return 0;
-}
-
-StatusOr<ModelArtifact> DecodeV3(const std::string& bytes) {
-  ArtifactV3Layout layout;
-  CPD_RETURN_IF_ERROR(ParseV3Layout(bytes.data(), bytes.size(), &layout));
+/// Heap copy of a validated v3 image: each estimate section is one memcpy
+/// out of `data`, and the vocabulary is filled by the one walk. The derived
+/// sections (eta_agg, top-k, postings) are not surfaced: they are a pure
+/// function of the estimates, and the encoder rebuilds them.
+ModelArtifact ArtifactFromV3(const char* data,
+                             const ArtifactV3Layout& layout) {
   ModelArtifact artifact;
   artifact.num_communities = layout.num_communities;
   artifact.num_topics = layout.num_topics;
@@ -678,28 +585,20 @@ StatusOr<ModelArtifact> DecodeV3(const std::string& bytes) {
   artifact.vocab_size = layout.vocab_size;
   artifact.num_time_bins = layout.num_time_bins;
   artifact.generation = layout.generation;
-  const auto copy_doubles = [&](ArtifactSection id, std::vector<double>* out) {
-    const auto& extent = layout.sections[static_cast<uint32_t>(id)];
-    out->resize(static_cast<size_t>(extent.length / sizeof(double)));
-    std::memcpy(out->data(), bytes.data() + extent.offset,
-                static_cast<size_t>(extent.length));
+  const auto copy = [&](ArtifactSection id, std::vector<double>* out) {
+    WireReader section(SectionBytes(data, layout, id));
+    section.Array(section.remaining() / sizeof(double), out);
   };
-  copy_doubles(ArtifactSection::kPi, &artifact.pi);
-  copy_doubles(ArtifactSection::kTheta, &artifact.theta);
-  copy_doubles(ArtifactSection::kPhi, &artifact.phi);
-  copy_doubles(ArtifactSection::kEta, &artifact.eta);
-  copy_doubles(ArtifactSection::kWeights, &artifact.weights);
-  copy_doubles(ArtifactSection::kPopularity, &artifact.popularity);
-  // The derived sections (eta_agg, top-k, postings) are not surfaced: they
-  // are a pure function of the estimates, and the encoder rebuilds them.
-  if (layout.vocab_count != 0) {
-    const auto& vocab =
-        layout.sections[static_cast<uint32_t>(ArtifactSection::kVocab)];
-    CPD_RETURN_IF_ERROR(ParseVocabSection(
-        bytes.data() + vocab.offset, vocab.length, &artifact.vocab_words,
-        &artifact.vocab_frequencies));
-  }
-  CPD_RETURN_IF_ERROR(artifact.Validate());
+  copy(ArtifactSection::kPi, &artifact.pi);
+  copy(ArtifactSection::kTheta, &artifact.theta);
+  copy(ArtifactSection::kPhi, &artifact.phi);
+  copy(ArtifactSection::kEta, &artifact.eta);
+  copy(ArtifactSection::kWeights, &artifact.weights);
+  copy(ArtifactSection::kPopularity, &artifact.popularity);
+  // ParseV3Layout validated the section, so the walk cannot fail.
+  WireReader vocab(SectionBytes(data, layout, ArtifactSection::kVocab));
+  (void)ReadVocabulary(&vocab, layout.vocab_size, &artifact.vocab_words,
+                       &artifact.vocab_frequencies);
   return artifact;
 }
 
@@ -730,39 +629,19 @@ const char* FirstTruncatedLegacySection(const ModelArtifact& artifact,
   return "body";
 }
 
-}  // namespace
-
-StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes) {
-  if (!LooksLikeModelArtifact(bytes)) {
-    return Status::InvalidArgument("not a CPD binary model artifact");
-  }
-  ByteReader reader(bytes);
-  char magic[sizeof(kModelArtifactMagic)];
-  reader.Read(&magic);  // Cannot fail: LooksLikeModelArtifact checked length.
-
-  uint32_t version = 0;
-  uint32_t endian_tag = 0;
+/// Decodes a v1/v2 file (the sequential layout) past its preamble.
+StatusOr<ModelArtifact> DecodeLegacy(std::string_view bytes,
+                                     uint32_t version) {
+  WireReader reader(bytes);
+  reader.Bytes(kModelFilePreambleBytes);
   ModelArtifact artifact;
-  uint64_t num_weights = 0;
-  if (!reader.Read(&version) || !reader.Read(&endian_tag)) {
-    return Status::OutOfRange("model artifact: truncated header");
-  }
-  if (version < kModelArtifactMinVersion || version > kModelArtifactVersion) {
-    return Status::Unimplemented(
-        StrFormat("model artifact: version %u not supported (reader "
-                  "understands versions %u..%u)",
-                  version, kModelArtifactMinVersion, kModelArtifactVersion));
-  }
-  if (endian_tag != kModelArtifactEndianTag) {
-    return Status::InvalidArgument(
-        "model artifact: foreign byte order (written on an incompatible "
-        "host)");
-  }
-  if (version >= 3) return DecodeV3(bytes);
-  if (!reader.Read(&artifact.num_communities) ||
-      !reader.Read(&artifact.num_topics) || !reader.Read(&artifact.num_users) ||
-      !reader.Read(&artifact.vocab_size) ||
-      !reader.Read(&artifact.num_time_bins) || !reader.Read(&num_weights)) {
+  artifact.num_communities = reader.I32();
+  artifact.num_topics = reader.I32();
+  artifact.num_users = reader.U64();
+  artifact.vocab_size = reader.U64();
+  artifact.num_time_bins = reader.I32();
+  const uint64_t num_weights = reader.U64();
+  if (!reader.ok()) {
     return Status::OutOfRange("model artifact: truncated header");
   }
   if (artifact.num_communities < 1 || artifact.num_topics < 1 ||
@@ -794,38 +673,17 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes) {
             total_doubles > ~0ull ? ~0ull
                                   : static_cast<uint64_t>(total_doubles))));
   }
-  reader.ReadDoubles(artifact.num_users * kc, &artifact.pi);
-  reader.ReadDoubles(kc * kz, &artifact.theta);
-  reader.ReadDoubles(kz * artifact.vocab_size, &artifact.phi);
-  reader.ReadDoubles(kc * kc * kz, &artifact.eta);
-  reader.ReadDoubles(static_cast<size_t>(num_weights), &artifact.weights);
-  reader.ReadDoubles(kt * kz, &artifact.popularity);
+  reader.Array(artifact.num_users * kc, &artifact.pi);
+  reader.Array(kc * kz, &artifact.theta);
+  reader.Array(kz * artifact.vocab_size, &artifact.phi);
+  reader.Array(kc * kc * kz, &artifact.eta);
+  reader.Array(num_weights, &artifact.weights);
+  reader.Array(kt * kz, &artifact.popularity);
   if (version >= 2) {
-    uint64_t vocab_count = 0;
-    if (!reader.Read(&vocab_count)) {
-      return Status::OutOfRange("model artifact: truncated vocabulary section");
-    }
-    if (vocab_count != 0 && vocab_count != artifact.vocab_size) {
-      return Status::InvalidArgument(StrFormat(
-          "model artifact: vocabulary section has %llu words, header says "
-          "|W|=%llu",
-          static_cast<unsigned long long>(vocab_count),
-          static_cast<unsigned long long>(artifact.vocab_size)));
-    }
-    artifact.vocab_words.reserve(static_cast<size_t>(vocab_count));
-    artifact.vocab_frequencies.reserve(static_cast<size_t>(vocab_count));
-    for (uint64_t i = 0; i < vocab_count; ++i) {
-      uint32_t length = 0;
-      std::string word;
-      int64_t frequency = 0;
-      if (!reader.Read(&length) || !reader.ReadString(length, &word) ||
-          !reader.Read(&frequency)) {
-        return Status::OutOfRange(
-            "model artifact: truncated vocabulary section");
-      }
-      artifact.vocab_words.push_back(std::move(word));
-      artifact.vocab_frequencies.push_back(frequency);
-    }
+    CPD_RETURN_IF_ERROR(ReadVocabulary(&reader, artifact.vocab_size,
+                                       &artifact.vocab_words,
+                                       &artifact.vocab_frequencies)
+                            .status());
   }
   if (reader.remaining() != 0) {
     return Status::InvalidArgument(StrFormat(
@@ -834,6 +692,55 @@ StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes) {
   }
   CPD_RETURN_IF_ERROR(artifact.Validate());
   return artifact;
+}
+
+}  // namespace
+
+// The encoder always writes host byte order and stamps
+// kModelArtifactEndianTag; the decoder rejects a foreign tag instead of
+// byte-swapping (every deployment target of this library is little-endian;
+// a swap path would be untested dead code).
+StatusOr<uint32_t> CheckModelFilePreamble(std::string_view bytes,
+                                          const ModelFilePreamble& format) {
+  WireReader reader(bytes);
+  if (reader.Bytes(sizeof(kModelArtifactMagic)) !=
+      std::string_view(format.magic, sizeof(kModelArtifactMagic))) {
+    return Status::InvalidArgument(format.not_this_kind);
+  }
+  if (bytes.size() < format.header_bytes) {
+    return Status::OutOfRange(
+        StrFormat("%s: truncated header (%zu bytes, need %zu)", format.kind,
+                  bytes.size(), format.header_bytes));
+  }
+  const uint32_t version = reader.U32();
+  if (version < format.min_version || version > format.max_version) {
+    return Status::Unimplemented(
+        StrFormat("%s: version %u not supported (reader understands "
+                  "versions %u..%u)",
+                  format.kind, version, format.min_version,
+                  format.max_version));
+  }
+  if (reader.U32() != kModelArtifactEndianTag) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: foreign byte order (written on an incompatible host)",
+        format.kind));
+  }
+  return version;
+}
+
+StatusOr<std::string> EncodeModelArtifact(const ModelArtifact& artifact,
+                                          const ArtifactWriteOptions& options) {
+  CPD_RETURN_IF_ERROR(artifact.Validate());
+  return EncodeV3(artifact, options);
+}
+
+StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes) {
+  const auto version = CheckModelFilePreamble(bytes, kModelArtifactPreamble);
+  if (!version.ok()) return version.status();
+  if (*version < 3) return DecodeLegacy(bytes, *version);
+  ArtifactV3Layout layout;
+  CPD_RETURN_IF_ERROR(ParseV3Layout(bytes.data(), bytes.size(), &layout));
+  return ArtifactFromV3(bytes.data(), layout);
 }
 
 Status WriteModelArtifact(const std::string& path,
@@ -916,37 +823,17 @@ Status MappedModelArtifact::Parse() {
                ? status
                : Status(status.code(), status.message() + ": " + path_);
   };
-  if (size_ < sizeof(kModelArtifactMagic) ||
-      std::memcmp(data_, kModelArtifactMagic, sizeof(kModelArtifactMagic)) !=
-          0) {
-    return fail(Status::InvalidArgument("not a CPD binary model artifact"));
-  }
-  if (size_ < 16) {
-    return fail(Status::OutOfRange("model artifact: truncated header"));
-  }
-  const uint32_t version = ReadAt<uint32_t>(data_, 8);
-  const uint32_t endian_tag = ReadAt<uint32_t>(data_, 12);
-  if (version < kModelArtifactMinVersion ||
-      version > kModelArtifactVersion) {
-    return fail(Status::Unimplemented(
-        StrFormat("model artifact: version %u not supported (reader "
-                  "understands versions %u..%u)",
-                  version, kModelArtifactMinVersion, kModelArtifactVersion)));
-  }
-  if (endian_tag != kModelArtifactEndianTag) {
-    return fail(Status::InvalidArgument(
-        "model artifact: foreign byte order (written on an incompatible "
-        "host)"));
-  }
-  if (version < 3) {
+  const auto version = CheckModelFilePreamble(
+      std::string_view(data_, size_), kModelArtifactPreamble);
+  if (!version.ok()) return fail(version.status());
+  if (*version < 3) {
     return fail(Status::FailedPrecondition(StrFormat(
         "model artifact: version %u has no mmap layout; LoadModelBundle "
         "up-converts it to a v3 image",
-        version)));
+        *version)));
   }
   const Status parsed = ParseV3Layout(data_, size_, &layout_);
   if (!parsed.ok()) return fail(parsed);
-  vocab_count_ = layout_.vocab_count;
   return Status::OK();
 }
 
@@ -986,37 +873,15 @@ Status MappedModelArtifact::BuildVocabulary(Vocabulary* out) const {
   }
   std::vector<std::string> words;
   std::vector<int64_t> frequencies;
-  CPD_RETURN_IF_ERROR(ParseVocabSection(
-      SectionData(ArtifactSection::kVocab),
-      SectionLength(ArtifactSection::kVocab), &words, &frequencies));
+  WireReader vocab(SectionBytes(data_, layout_, ArtifactSection::kVocab));
+  CPD_RETURN_IF_ERROR(
+      ReadVocabulary(&vocab, layout_.vocab_size, &words, &frequencies)
+          .status());
   return VocabularyFromWords(words, frequencies, out);
 }
 
 ModelArtifact MappedModelArtifact::Materialize() const {
-  ModelArtifact artifact;
-  artifact.num_communities = layout_.num_communities;
-  artifact.num_topics = layout_.num_topics;
-  artifact.num_users = layout_.num_users;
-  artifact.vocab_size = layout_.vocab_size;
-  artifact.num_time_bins = layout_.num_time_bins;
-  artifact.generation = layout_.generation;
-  const auto copy = [](std::span<const double> view) {
-    return std::vector<double>(view.begin(), view.end());
-  };
-  artifact.pi = copy(pi());
-  artifact.theta = copy(theta());
-  artifact.phi = copy(phi());
-  artifact.eta = copy(eta());
-  artifact.weights = copy(weights());
-  artifact.popularity = copy(popularity());
-  if (has_vocabulary()) {
-    // Open() validated the section, so the parse cannot fail.
-    (void)ParseVocabSection(SectionData(ArtifactSection::kVocab),
-                            SectionLength(ArtifactSection::kVocab),
-                            &artifact.vocab_words,
-                            &artifact.vocab_frequencies);
-  }
-  return artifact;
+  return ArtifactFromV3(data_, layout_);
 }
 
 }  // namespace cpd

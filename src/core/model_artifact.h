@@ -37,6 +37,17 @@
 /// The encoder is deterministic (fixed section order, zero fill), so
 /// encode -> decode -> encode round-trips byte-identically.
 ///
+/// One codec reads and writes every byte: util/wire_format.h's WireWriter
+/// and WireReader (shared with the .cpdd delta and the dist wire), with its
+/// HeaderChecksum for the v3 header. One function, CheckModelFilePreamble,
+/// judges the magic / version range / byte order of every .cpdb (heap and
+/// mapped) and .cpdd. One walk reads the vocabulary, whose bytes are the
+/// same in a v2 trailer and a v3 section, validating only (the v3 layout
+/// check) or also filling the words (decode). One validator,
+/// ParseV3Layout, judges a v3 layout, and one function copies a validated
+/// layout into a ModelArtifact for both DecodeModelArtifact and
+/// MappedModelArtifact::Materialize.
+///
 /// Readers reject wrong magic, unknown versions, foreign byte order,
 /// truncated or oversized payloads, and (v3) any corrupt header/table bit,
 /// misaligned, overlapping, or out-of-bounds section with typed Status
@@ -64,6 +75,34 @@ inline constexpr uint32_t kModelArtifactVersion = 3;
 /// Oldest version the reader still accepts (v1 = no vocabulary section).
 inline constexpr uint32_t kModelArtifactMinVersion = 1;
 inline constexpr uint32_t kModelArtifactEndianTag = 0x01020304u;
+
+/// The preamble every model file opens with: 8-byte magic | u32 version |
+/// u32 endian tag (kModelArtifactEndianTag), then a format-specific header.
+inline constexpr size_t kModelFilePreambleBytes = 16;
+
+/// What CheckModelFilePreamble needs to know about one file format.
+struct ModelFilePreamble {
+  const char* magic;          ///< 8 bytes.
+  const char* kind;           ///< Error-message prefix ("model artifact").
+  const char* not_this_kind;  ///< The error when the magic is wrong.
+  uint32_t min_version;
+  uint32_t max_version;
+  size_t header_bytes;  ///< Shorter input is a truncated header.
+};
+
+inline constexpr ModelFilePreamble kModelArtifactPreamble = {
+    .magic = kModelArtifactMagic,
+    .kind = "model artifact",
+    .not_this_kind = "not a CPD binary model artifact",
+    .min_version = kModelArtifactMinVersion,
+    .max_version = kModelArtifactVersion,
+    .header_bytes = kModelFilePreambleBytes};
+
+/// Checks, in this order: the magic (InvalidArgument), the header length
+/// (OutOfRange), the version range (Unimplemented) and the byte order
+/// (InvalidArgument). Returns the version.
+StatusOr<uint32_t> CheckModelFilePreamble(std::string_view bytes,
+                                          const ModelFilePreamble& format);
 
 /// v3 section identifiers, in file order. 1..8 are mandatory; 9..13 (the
 /// derived read-side structures) are present iff derived_top_k > 0.
@@ -157,9 +196,8 @@ StatusOr<ModelArtifact> ReadModelArtifact(const std::string& path);
 bool LooksLikeModelArtifact(const std::string& bytes);
 
 /// Parsed v3 geometry: where every section lives inside the raw bytes.
-/// Produced by ParseV3Layout after full validation (alignment, bounds,
-/// overlap, checksum, size-vs-dims), shared by the heap decoder and the
-/// mmap reader so the two cannot disagree on what a valid file is.
+/// Produced by the one v3 validator (alignment, bounds, overlap, checksum,
+/// size-vs-dims) that the heap decoder and the mmap reader share.
 struct ArtifactV3Layout {
   int32_t num_communities = 0;
   int32_t num_topics = 0;
@@ -183,12 +221,6 @@ struct ArtifactV3Layout {
   bool has_derived() const { return derived_top_k > 0; }
 };
 
-/// Validates `data[0..size)` as a v3 artifact and fills `layout`. The
-/// caller guarantees the magic matched; everything else (version, endian,
-/// checksum, table, section geometry, vocab/posting internals) is checked
-/// here with section-named typed errors.
-Status ParseV3Layout(const char* data, size_t size, ArtifactV3Layout* layout);
-
 /// A validated v3 byte image: the zero-copy counterpart of
 /// DecodeModelArtifact. The image has one of two backings:
 ///   - Open() maps a v3 file read-only — no rows are copied, the kernel
@@ -196,15 +228,14 @@ Status ParseV3Layout(const char* data, size_t size, ArtifactV3Layout* layout);
 ///     clean pages;
 ///   - FromBytes() copies encoded v3 bytes into an owned, 8-byte-aligned
 ///     heap buffer (in-memory encodes, up-converted v1/v2/text models).
-/// Both validate the whole layout up front with ParseV3Layout (the same
-/// checks as the heap decoder), then the accessors are raw spans into the
-/// image. Immutable and safe to share across threads; the image lives
-/// until the last shared_ptr drops.
+/// Both validate the whole layout up front with the heap decoder's checks,
+/// then the accessors are raw spans into the image. Immutable and safe to
+/// share across threads; the image lives until the last shared_ptr drops.
 class MappedModelArtifact {
  public:
   /// mmaps and validates `path`. InvalidArgument when the file is not a
   /// .cpdb; FailedPrecondition when it is an older (v1/v2) artifact that
-  /// has no mmap layout; otherwise the ParseV3Layout taxonomy.
+  /// has no mmap layout; otherwise DecodeModelArtifact's v3 taxonomy.
   static StatusOr<std::shared_ptr<const MappedModelArtifact>> Open(
       const std::string& path);
 
@@ -260,7 +291,7 @@ class MappedModelArtifact {
   }
 
   // ----- vocabulary (strings are decoded, not zero-copy) -----
-  bool has_vocabulary() const { return vocab_count_ != 0; }
+  bool has_vocabulary() const { return layout_.vocab_count != 0; }
   /// FailedPrecondition when the file bundles no vocabulary.
   Status BuildVocabulary(Vocabulary* out) const;
 
@@ -295,7 +326,6 @@ class MappedModelArtifact {
   size_t size_ = 0;
   std::vector<uint64_t> owned_;  ///< Heap image (empty = file mapping).
   ArtifactV3Layout layout_;
-  uint64_t vocab_count_ = 0;  ///< Parsed once at load (0 = none bundled).
 };
 
 }  // namespace cpd

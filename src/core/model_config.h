@@ -144,8 +144,9 @@ struct CpdConfig {
 
   /// Distributed E-step (executor_mode == kDistributed). Exactly one of
   /// dist_workers (auto-spawned local cpd_worker processes) or
-  /// dist_worker_addrs (comma-separated HOST:PORT list of pre-started
-  /// workers) must be set.
+  /// dist_worker_addrs (comma-separated list of pre-started workers, each
+  /// a numeric IPv4 HOST:PORT that Validate checks with ParseIpv4Endpoint)
+  /// must be set.
   int dist_workers = 0;
   std::string dist_worker_addrs;
   /// Path of the worker binary to spawn; empty = "cpd_worker" next to the
@@ -180,7 +181,8 @@ struct CpdConfig {
   }
 
   /// dist_worker_addrs split on commas, empty entries kept (Validate
-  /// rejects them); empty when no list is set.
+  /// rejects them with every other malformed entry); empty when no list is
+  /// set.
   std::vector<std::string> DistWorkerAddrs() const {
     if (dist_worker_addrs.empty()) return {};
     return Split(dist_worker_addrs, ',');
@@ -232,8 +234,10 @@ struct CpdConfig {
           "dist_workers and dist_worker_addrs are mutually exclusive");
     }
     for (const std::string& addr : DistWorkerAddrs()) {
-      if (addr.empty()) {
-        return Status::InvalidArgument("dist_worker_addrs has an empty entry");
+      const auto endpoint = ParseIpv4Endpoint(addr);
+      if (!endpoint.ok()) {
+        return Status::InvalidArgument("dist_worker_addrs: " +
+                                       endpoint.status().message());
       }
     }
     if (executor_mode == ExecutorMode::kDistributed &&

@@ -6,6 +6,7 @@
 #include "core/model_state.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
+#include "util/wire_format.h"
 
 namespace cpd {
 
@@ -25,71 +26,13 @@ using uint128_t = unsigned __int128;
 constexpr size_t kDeltaHeaderBytes = 96;
 constexpr size_t kDeltaChecksumOffset = 92;
 
-template <typename T>
-void AppendRaw(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-void AppendDoubles(std::string* out, const std::vector<double>& values) {
-  out->append(reinterpret_cast<const char*>(values.data()),
-              values.size() * sizeof(double));
-}
-
-template <typename T>
-T ReadAt(const char* data, size_t offset) {
-  T value;
-  std::memcpy(&value, data + offset, sizeof(T));
-  return value;
-}
-
-uint32_t DeltaHeaderChecksum(const char* data) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < kDeltaHeaderBytes; ++i) {
-    const unsigned char byte =
-        (i >= kDeltaChecksumOffset &&
-         i < kDeltaChecksumOffset + sizeof(uint32_t))
-            ? 0u
-            : static_cast<unsigned char>(data[i]);
-    hash = (hash ^ byte) * 16777619u;
-  }
-  return hash;
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& bytes, size_t offset)
-      : bytes_(bytes), offset_(offset) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    if (offset_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadDoubles(size_t count, std::vector<double>* out) {
-    const size_t bytes_needed = count * sizeof(double);
-    if (offset_ + bytes_needed > bytes_.size()) return false;
-    out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + offset_, bytes_needed);
-    offset_ += bytes_needed;
-    return true;
-  }
-
-  bool ReadString(size_t length, std::string* out) {
-    if (offset_ + length > bytes_.size()) return false;
-    out->assign(bytes_.data() + offset_, length);
-    offset_ += length;
-    return true;
-  }
-
-  size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  const std::string& bytes_;
-  size_t offset_;
-};
+constexpr ModelFilePreamble kModelDeltaPreamble = {
+    .magic = kModelDeltaMagic,
+    .kind = "model delta",
+    .not_this_kind = "not a CPD model delta",
+    .min_version = 1,
+    .max_version = kModelDeltaVersion,
+    .header_bytes = kDeltaHeaderBytes};
 
 }  // namespace
 
@@ -181,80 +124,63 @@ StatusOr<std::string> EncodeModelDelta(const ModelDelta& delta) {
                delta.phi.size() + delta.eta.size() + delta.weights.size() +
                delta.popularity.size()) *
                   sizeof(double));
-  out.append(kModelDeltaMagic, sizeof(kModelDeltaMagic));
-  AppendRaw(&out, kModelDeltaVersion);
-  AppendRaw(&out, kModelArtifactEndianTag);
-  AppendRaw(&out, delta.num_communities);
-  AppendRaw(&out, delta.num_topics);
-  AppendRaw(&out, delta.num_users);
-  AppendRaw(&out, delta.vocab_size);
-  AppendRaw(&out, delta.num_time_bins);
-  AppendRaw(&out, static_cast<uint64_t>(delta.weights.size()));
-  AppendRaw(&out, delta.base_generation);
-  AppendRaw(&out, delta.generation);
-  AppendRaw(&out, delta.base_num_users);
-  AppendRaw(&out, delta.base_vocab_size);
-  AppendRaw(&out, static_cast<uint64_t>(delta.touched_users.size()));
-  AppendRaw(&out, uint32_t{0});  // Checksum, patched below.
-  uint32_t checksum = DeltaHeaderChecksum(out.data());
-  std::memcpy(out.data() + kDeltaChecksumOffset, &checksum, sizeof(checksum));
-  for (const uint64_t user : delta.touched_users) AppendRaw(&out, user);
-  AppendDoubles(&out, delta.touched_pi);
-  AppendDoubles(&out, delta.theta);
-  AppendDoubles(&out, delta.phi);
-  AppendDoubles(&out, delta.eta);
-  AppendDoubles(&out, delta.weights);
-  AppendDoubles(&out, delta.popularity);
-  AppendRaw(&out, static_cast<uint64_t>(delta.appended_words.size()));
+  WireWriter writer(&out);
+  writer.Bytes({kModelDeltaMagic, sizeof(kModelDeltaMagic)});
+  writer.U32(kModelDeltaVersion);
+  writer.U32(kModelArtifactEndianTag);
+  writer.I32(delta.num_communities);
+  writer.I32(delta.num_topics);
+  writer.U64(delta.num_users);
+  writer.U64(delta.vocab_size);
+  writer.I32(delta.num_time_bins);
+  writer.U64(delta.weights.size());
+  writer.U64(delta.base_generation);
+  writer.U64(delta.generation);
+  writer.U64(delta.base_num_users);
+  writer.U64(delta.base_vocab_size);
+  writer.U64(delta.touched_users.size());
+  writer.U32(0u);  // Header checksum, stored below.
+  writer.StoreAt<uint32_t>(kDeltaChecksumOffset,
+                           HeaderChecksum(out, kDeltaChecksumOffset));
+  writer.Array(delta.touched_users);
+  writer.Array(delta.touched_pi);
+  writer.Array(delta.theta);
+  writer.Array(delta.phi);
+  writer.Array(delta.eta);
+  writer.Array(delta.weights);
+  writer.Array(delta.popularity);
+  writer.U64(delta.appended_words.size());
   for (const std::string& word : delta.appended_words) {
-    AppendRaw(&out, static_cast<uint32_t>(word.size()));
-    out.append(word);
+    writer.U32(static_cast<uint32_t>(word.size()));
+    writer.Bytes(word);
   }
-  AppendRaw(&out, static_cast<uint64_t>(delta.vocab_frequencies.size()));
-  for (const int64_t frequency : delta.vocab_frequencies) {
-    AppendRaw(&out, frequency);
-  }
+  writer.Vec(delta.vocab_frequencies);
   return out;
 }
 
 StatusOr<ModelDelta> DecodeModelDelta(const std::string& bytes) {
-  if (!LooksLikeModelDelta(bytes)) {
-    return Status::InvalidArgument("not a CPD model delta");
-  }
-  if (bytes.size() < kDeltaHeaderBytes) {
-    return Status::OutOfRange(StrFormat(
-        "model delta: truncated header (%zu bytes, need %zu)", bytes.size(),
-        kDeltaHeaderBytes));
-  }
-  const char* data = bytes.data();
-  const uint32_t version = ReadAt<uint32_t>(data, 8);
-  if (version > kModelDeltaVersion || version < 1) {
-    return Status::Unimplemented(
-        StrFormat("model delta: version %u not supported (reader "
-                  "understands versions 1..%u)",
-                  version, kModelDeltaVersion));
-  }
-  if (ReadAt<uint32_t>(data, 12) != kModelArtifactEndianTag) {
-    return Status::InvalidArgument(
-        "model delta: foreign byte order (written on an incompatible host)");
-  }
-  if (DeltaHeaderChecksum(data) != ReadAt<uint32_t>(data, kDeltaChecksumOffset)) {
+  CPD_RETURN_IF_ERROR(
+      CheckModelFilePreamble(bytes, kModelDeltaPreamble).status());
+  WireReader reader(bytes);
+  reader.Bytes(kModelFilePreambleBytes);
+  ModelDelta delta;
+  delta.num_communities = reader.I32();
+  delta.num_topics = reader.I32();
+  delta.num_users = reader.U64();
+  delta.vocab_size = reader.U64();
+  delta.num_time_bins = reader.I32();
+  const uint64_t num_weights = reader.U64();
+  delta.base_generation = reader.U64();
+  delta.generation = reader.U64();
+  delta.base_num_users = reader.U64();
+  delta.base_vocab_size = reader.U64();
+  const uint64_t touched_count = reader.U64();
+  const uint32_t stored_checksum = reader.U32();
+  if (HeaderChecksum(std::string_view(bytes).substr(0, kDeltaHeaderBytes),
+                     kDeltaChecksumOffset) != stored_checksum) {
     return Status::InvalidArgument(
         "model delta: header checksum mismatch (corrupt header)");
   }
-  ModelDelta delta;
-  delta.num_communities = ReadAt<int32_t>(data, 16);
-  delta.num_topics = ReadAt<int32_t>(data, 20);
-  delta.num_users = ReadAt<uint64_t>(data, 24);
-  delta.vocab_size = ReadAt<uint64_t>(data, 32);
-  delta.num_time_bins = ReadAt<int32_t>(data, 40);
-  const uint64_t num_weights = ReadAt<uint64_t>(data, 44);
-  delta.base_generation = ReadAt<uint64_t>(data, 52);
-  delta.generation = ReadAt<uint64_t>(data, 60);
-  delta.base_num_users = ReadAt<uint64_t>(data, 68);
-  delta.base_vocab_size = ReadAt<uint64_t>(data, 76);
-  const uint64_t touched_count = ReadAt<uint64_t>(data, 84);
-
   if (delta.num_communities < 1 || delta.num_topics < 1 ||
       delta.num_time_bins < 1) {
     return Status::InvalidArgument(
@@ -286,28 +212,26 @@ StatusOr<ModelDelta> DecodeModelDelta(const std::string& bytes) {
   const uint128_t body_bytes =
       static_cast<uint128_t>(touched_count) * sizeof(uint64_t) +
       body_doubles * sizeof(double);
-  if (body_bytes > bytes.size() - kDeltaHeaderBytes) {
+  if (body_bytes > reader.remaining()) {
     return Status::OutOfRange(StrFormat(
         "model delta: truncated body (%zu bytes left, header needs %llu)",
-        bytes.size() - kDeltaHeaderBytes,
+        reader.remaining(),
         static_cast<unsigned long long>(
             body_bytes > ~0ull ? ~0ull : static_cast<uint64_t>(body_bytes))));
   }
-  ByteReader reader(bytes, kDeltaHeaderBytes);
-  delta.touched_users.resize(static_cast<size_t>(touched_count));
-  for (uint64_t& user : delta.touched_users) reader.Read(&user);
-  reader.ReadDoubles(static_cast<size_t>(touched_count) * kc,
-                     &delta.touched_pi);
-  reader.ReadDoubles(kc * kz, &delta.theta);
-  reader.ReadDoubles(kz * delta.vocab_size, &delta.phi);
-  reader.ReadDoubles(kc * kc * kz, &delta.eta);
-  reader.ReadDoubles(static_cast<size_t>(num_weights), &delta.weights);
-  reader.ReadDoubles(kt * kz, &delta.popularity);
+  reader.Array(touched_count, &delta.touched_users);
+  reader.Array(touched_count * kc, &delta.touched_pi);
+  reader.Array(kc * kz, &delta.theta);
+  reader.Array(kz * delta.vocab_size, &delta.phi);
+  reader.Array(kc * kc * kz, &delta.eta);
+  reader.Array(num_weights, &delta.weights);
+  reader.Array(kt * kz, &delta.popularity);
 
-  uint64_t appended_count = 0;
-  if (!reader.Read(&appended_count)) {
+  const auto truncated_vocab = [] {
     return Status::OutOfRange("model delta: truncated vocabulary section");
-  }
+  };
+  const uint64_t appended_count = reader.U64();
+  if (!reader.ok()) return truncated_vocab();
   if (appended_count > delta.vocab_size - delta.base_vocab_size &&
       delta.vocab_size >= delta.base_vocab_size) {
     return Status::InvalidArgument(StrFormat(
@@ -319,17 +243,12 @@ StatusOr<ModelDelta> DecodeModelDelta(const std::string& bytes) {
   delta.appended_words.reserve(static_cast<size_t>(
       std::min<uint64_t>(appended_count, reader.remaining() / 4 + 1)));
   for (uint64_t i = 0; i < appended_count; ++i) {
-    uint32_t length = 0;
-    std::string word;
-    if (!reader.Read(&length) || !reader.ReadString(length, &word)) {
-      return Status::OutOfRange("model delta: truncated vocabulary section");
-    }
-    delta.appended_words.push_back(std::move(word));
+    const std::string_view word = reader.Bytes(reader.U32());
+    if (!reader.ok()) return truncated_vocab();
+    delta.appended_words.emplace_back(word);
   }
-  uint64_t frequency_count = 0;
-  if (!reader.Read(&frequency_count)) {
-    return Status::OutOfRange("model delta: truncated vocabulary section");
-  }
+  const uint64_t frequency_count = reader.U64();
+  if (!reader.ok()) return truncated_vocab();
   if (frequency_count != 0 && frequency_count != delta.vocab_size) {
     return Status::InvalidArgument(StrFormat(
         "model delta: frequency table has %llu entries, header says "
@@ -337,11 +256,8 @@ StatusOr<ModelDelta> DecodeModelDelta(const std::string& bytes) {
         static_cast<unsigned long long>(frequency_count),
         static_cast<unsigned long long>(delta.vocab_size)));
   }
-  if (frequency_count * sizeof(int64_t) > reader.remaining()) {
-    return Status::OutOfRange("model delta: truncated vocabulary section");
-  }
-  delta.vocab_frequencies.resize(static_cast<size_t>(frequency_count));
-  for (int64_t& frequency : delta.vocab_frequencies) reader.Read(&frequency);
+  reader.Array(frequency_count, &delta.vocab_frequencies);
+  if (!reader.ok()) return truncated_vocab();
   if (reader.remaining() != 0) {
     return Status::InvalidArgument(StrFormat(
         "model delta: %zu trailing bytes after the last section",
@@ -366,12 +282,6 @@ StatusOr<ModelDelta> ReadModelDelta(const std::string& path) {
                   decoded.status().message() + ": " + path);
   }
   return decoded;
-}
-
-bool LooksLikeModelDelta(const std::string& bytes) {
-  return bytes.size() >= sizeof(kModelDeltaMagic) &&
-         std::memcmp(bytes.data(), kModelDeltaMagic,
-                     sizeof(kModelDeltaMagic)) == 0;
 }
 
 StatusOr<ModelDelta> BuildModelDelta(const ModelArtifact& base,

@@ -34,9 +34,14 @@
 /// [base_|W|, |W|) plus a full refreshed frequency table) iff the target
 /// artifact bundles one; the base's first base_|W| words are taken as-is.
 ///
+/// The codec is the .cpdb's: util/wire_format.h's WireWriter/WireReader
+/// move every byte (each matrix is one append or one memcpy), its
+/// HeaderChecksum stamps the header, and model_artifact.h's
+/// CheckModelFilePreamble judges the magic / version / byte order.
+///
 /// Error taxonomy matches model_artifact.h: InvalidArgument for bad
-/// magic/endianness/dims/checksum/ordering, Unimplemented for a newer
-/// version, OutOfRange for truncated or trailing bytes, and
+/// magic/endianness/dims/checksum/ordering and trailing bytes,
+/// Unimplemented for a newer version, OutOfRange for truncated bytes, and
 /// FailedPrecondition when ApplyModelDelta is pointed at the wrong base
 /// generation.
 
@@ -106,9 +111,6 @@ StatusOr<ModelDelta> DecodeModelDelta(const std::string& bytes);
 /// Whole-file convenience wrappers.
 Status WriteModelDelta(const std::string& path, const ModelDelta& delta);
 StatusOr<ModelDelta> ReadModelDelta(const std::string& path);
-
-/// True if the byte string begins with the .cpdd magic.
-bool LooksLikeModelDelta(const std::string& bytes);
 
 /// Diffs `target` against `base`: touched = every pi row that changed
 /// bitwise, plus all rows of users new in `target`. Fails when the two

@@ -12,6 +12,8 @@
 
 #include <cstring>
 
+#include "util/string_util.h"
+
 namespace cpd::dist {
 
 namespace {
@@ -155,30 +157,12 @@ StatusOr<int> AcceptWithTimeout(int listen_fd, int timeout_ms) {
 }
 
 StatusOr<int> ConnectTo(const std::string& addr) {
-  const size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
-    return Status::InvalidArgument("worker address must be HOST:PORT, got '" +
-                                   addr + "'");
-  }
-  const std::string host = addr.substr(0, colon);
-  int port = 0;
-  for (size_t i = colon + 1; i < addr.size(); ++i) {
-    const char c = addr[i];
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad port in worker address '" + addr + "'");
-    }
-    port = port * 10 + (c - '0');
-    if (port > 65535) {
-      return Status::InvalidArgument("port out of range in '" + addr + "'");
-    }
-  }
+  const auto endpoint = ParseIpv4Endpoint(addr);
+  if (!endpoint.ok()) return endpoint.status();
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
-    return Status::InvalidArgument("worker host must be a numeric IPv4 address, got '" +
-                                   host + "'");
-  }
+  sa.sin_port = htons(endpoint->port);
+  sa.sin_addr.s_addr = endpoint->address;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Unavailable(Errno("socket"));
   for (;;) {

@@ -50,7 +50,8 @@ StatusOr<int> ListenOnPort(uint16_t port);
 /// set.
 StatusOr<int> AcceptWithTimeout(int listen_fd, int timeout_ms);
 
-/// Connects to "host:port" (numeric host). TCP_NODELAY is set.
+/// Connects to a numeric IPv4 "HOST:PORT" (the ParseIpv4Endpoint grammar).
+/// TCP_NODELAY is set.
 StatusOr<int> ConnectTo(const std::string& addr);
 
 /// fork+exec of `binary --connect 127.0.0.1:<port> <extra_args...>`.

@@ -33,12 +33,12 @@ bool IsKnownMsgType(uint32_t raw) {
 void AppendFrame(std::string* out, MsgType type, std::string_view body,
                  uint32_t version) {
   WireWriter writer(out);
-  out->append(kWireMagic, sizeof(kWireMagic));
+  writer.Bytes({kWireMagic, sizeof(kWireMagic)});
   writer.U32(version);
   writer.U32(kWireEndianTag);
   writer.U32(static_cast<uint32_t>(type));
   writer.U64(body.size());
-  out->append(body.data(), body.size());
+  writer.Bytes(body);
 }
 
 StatusOr<FrameHeader> DecodeFrameHeader(std::string_view header) {

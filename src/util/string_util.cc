@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <arpa/inet.h>
+
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -64,6 +66,31 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
+}
+
+StatusOr<Ipv4Endpoint> ParseIpv4Endpoint(std::string_view addr) {
+  const auto bad = [addr](const char* what) {
+    return Status::InvalidArgument(StrFormat(
+        "%s, got '%.*s'", what, static_cast<int>(addr.size()), addr.data()));
+  };
+  const size_t colon = addr.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 ||
+      colon + 1 == addr.size()) {
+    return bad("address must be HOST:PORT");
+  }
+  uint32_t port = 0;
+  for (const char c : addr.substr(colon + 1)) {
+    if (c < '0' || c > '9') return bad("port must be decimal");
+    port = port * 10 + static_cast<uint32_t>(c - '0');
+    if (port > 65535) return bad("port must be <= 65535");
+  }
+  Ipv4Endpoint endpoint;
+  endpoint.port = static_cast<uint16_t>(port);
+  const std::string host(addr.substr(0, colon));
+  if (::inet_pton(AF_INET, host.c_str(), &endpoint.address) != 1) {
+    return bad("host must be a numeric IPv4 address");
+  }
+  return endpoint;
 }
 
 std::string StrFormat(const char* format, ...) {

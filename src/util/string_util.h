@@ -2,11 +2,15 @@
 #define CPD_UTIL_STRING_UTIL_H_
 
 /// \file string_util.h
-/// Small string helpers used by the text pipeline and file I/O.
+/// Small string helpers used by the text pipeline, file I/O and address
+/// flags.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace cpd {
 
@@ -29,6 +33,18 @@ std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// A numeric IPv4 endpoint.
+struct Ipv4Endpoint {
+  uint32_t address = 0;  ///< Network byte order (in_addr::s_addr).
+  uint16_t port = 0;
+};
+
+/// Parses "A.B.C.D:PORT": a numeric IPv4 host (no DNS lookup) and a
+/// decimal port <= 65535. The one address grammar of the distributed
+/// executor: config validation and the connecting socket both use it.
+/// InvalidArgument naming the bad part otherwise.
+StatusOr<Ipv4Endpoint> ParseIpv4Endpoint(std::string_view addr);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...) __attribute__((format(printf, 1, 2)));

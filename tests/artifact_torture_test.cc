@@ -710,22 +710,29 @@ TEST_F(ArtifactTortureTest, DeltaForgeryTaxonomy) {
 // input is reproducible from the suite alone. Each input must end in a
 // typed error or a valid decode (no crash, hang, or allocation sized by a
 // forged field); for v3 the heap decoder and the owned-image loader must
-// also agree on accept/reject and on the status code. Each suite prints
-// its status-code histogram, so a codec change can show that it decides
-// every input exactly as before.
+// also agree on accept/reject and on the status code. Each suite pins its
+// status-code histogram and the digest of its code sequence, so a codec
+// change must decide every input exactly as before.
 
 /// Status-code counts of one suite, plus an order-sensitive digest of the
-/// code sequence, printed when the suite ends.
+/// code sequence. Printed when the suite ends and compared with the
+/// recorded decisions: a codec change must decide every input as before.
 class CodeHistogram {
  public:
-  explicit CodeHistogram(std::string suite) : suite_(std::move(suite)) {}
+  CodeHistogram(std::string suite, std::string expected)
+      : suite_(std::move(suite)), expected_(std::move(expected)) {}
   ~CodeHistogram() {
-    std::string line = "mutation histogram " + suite_ + ":";
+    std::string summary;
     for (const auto& [code, count] : counts_) {
-      line += " " + code + "=" + std::to_string(count);
+      summary += code + "=" + std::to_string(count) + " ";
     }
-    std::printf("%s sequence=%016llx\n", line.c_str(),
-                static_cast<unsigned long long>(sequence_));
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "sequence=%016llx",
+                  static_cast<unsigned long long>(sequence_));
+    summary += digest;
+    std::printf("mutation histogram %s: %s\n", suite_.c_str(),
+                summary.c_str());
+    EXPECT_EQ(summary, expected_) << suite_;
   }
   void Record(const std::string& label, const Status& status) {
     ++counts_[label + (label.empty() ? "" : ":") +
@@ -735,6 +742,7 @@ class CodeHistogram {
 
  private:
   std::string suite_;
+  std::string expected_;
   std::map<std::string, int> counts_;
   uint64_t sequence_ = 0;
 };
@@ -904,7 +912,9 @@ size_t V3SectionOffset(const std::string& bytes, uint32_t id) {
 constexpr int kMutationRounds = 4000;
 
 TEST_F(ArtifactTortureTest, V3BodyMutationsAgreeOnBothPaths) {
-  CodeHistogram histogram("v3_body");
+  CodeHistogram histogram(
+      "v3_body",
+      "InvalidArgument=860 OK=3035 OutOfRange=105 sequence=e2ea56ea63fd0913");
   const std::string pristine = EncodeV3(MakeArtifact(/*with_vocab=*/true));
   const uint32_t count = ReadLE<uint32_t>(pristine, kSectionCountOffset);
   const size_t table_end = kFixedHeader + kTableEntry * count;
@@ -927,7 +937,13 @@ TEST_F(ArtifactTortureTest, V3BodyMutationsAgreeOnBothPaths) {
 }
 
 TEST_F(ArtifactTortureTest, V3LengthFieldInflationAgreesOnBothPaths) {
-  CodeHistogram histogram("v3_lengths");
+  CodeHistogram histogram(
+      "v3_lengths",
+      "count:InvalidArgument=10 random:InvalidArgument=265 random:OK=3666 "
+      "random:OutOfRange=69 table_length:InvalidArgument=56 "
+      "table_length:OutOfRange=74 word_length:InvalidArgument=4 "
+      "word_length:OK=3 word_length:OutOfRange=43 "
+      "sequence=ba3cc06ef0898003");
   const std::string pristine = EncodeV3(MakeArtifact(/*with_vocab=*/true));
   const size_t vocab = V3SectionOffset(pristine, 7);  // kVocab
   // The vocabulary count and every word length.
@@ -971,7 +987,17 @@ TEST_F(ArtifactTortureTest, V3LengthFieldInflationAgreesOnBothPaths) {
 TEST_F(ArtifactTortureTest, LegacyMutationsEndTypedOrDecode) {
   constexpr size_t kLegacyHeader = 52;
   for (const uint32_t version : {1u, 2u}) {
-    CodeHistogram histogram(version == 1 ? "v1" : "v2");
+    CodeHistogram histogram(
+        version == 1 ? "v1" : "v2",
+        version == 1
+            ? "flip:OK=1957 header:InvalidArgument=6 header:OutOfRange=24 "
+              "random:OK=2043 sequence=f68b7bd0544166c0"
+            : "count:InvalidArgument=10 flip:InvalidArgument=33 flip:OK=1817 "
+              "flip:OutOfRange=99 header:InvalidArgument=9 "
+              "header:OutOfRange=21 random:InvalidArgument=12 "
+              "random:OK=1993 random:OutOfRange=46 "
+              "word_length:InvalidArgument=4 word_length:OK=3 "
+              "word_length:OutOfRange=43 sequence=ee110f7e2d361bab");
     const ModelArtifact artifact = MakeArtifact(/*with_vocab=*/version >= 2);
     const std::string pristine =
         testing::EncodeLegacyArtifact(artifact, version);
@@ -1044,7 +1070,14 @@ ModelArtifact GrownTarget(const ModelArtifact& base) {
 }
 
 TEST_F(ArtifactTortureTest, DeltaMutationsEndTypedOrDecode) {
-  CodeHistogram histogram("delta");
+  CodeHistogram histogram(
+      "delta",
+      "appended_count:InvalidArgument=10 flip:InvalidArgument=197 "
+      "flip:OK=1772 flip:OutOfRange=36 freq_count:InvalidArgument=10 "
+      "header:InvalidArgument=41 header:OK=1 header:OutOfRange=8 "
+      "random:InvalidArgument=75 random:OK=1905 random:OutOfRange=15 "
+      "word_length:InvalidArgument=6 word_length:OutOfRange=14 "
+      "sequence=8ddf628c0417aa20");
   const ModelArtifact base = MakeArtifact(/*with_vocab=*/true);
   const ModelArtifact target = GrownTarget(base);
   auto delta = BuildModelDelta(base, target);
@@ -1120,7 +1153,12 @@ TEST_F(ArtifactTortureTest, DeltaMutationsEndTypedOrDecode) {
 }
 
 TEST_F(ArtifactTortureTest, SplicedFilesEndTypedOrDecode) {
-  CodeHistogram histogram("splice");
+  CodeHistogram histogram(
+      "splice",
+      "artifact:InvalidArgument=3207 artifact:OK=2442 "
+      "artifact:OutOfRange=2340 artifact:Unimplemented=11 "
+      "delta:InvalidArgument=7296 delta:OK=507 delta:OutOfRange=192 "
+      "delta:Unimplemented=5 sequence=cfc910180254f61b");
   const ModelArtifact with_vocab = MakeArtifact(/*with_vocab=*/true);
   ModelArtifact rescaled = with_vocab;  // Same geometry, other values.
   for (double& value : rescaled.pi) value *= 3.0;

@@ -338,6 +338,39 @@ TEST_F(CpdTrainFlagsTest, WorkerAddrsWithTrailingCommaIsUsageError) {
   EXPECT_EQ(Run("--executor distributed --worker_addrs 127.0.0.1:19999,"), 2);
 }
 
+// The HOST:PORT grammar is checked up front (ParseIpv4Endpoint), so a
+// non-numeric host or an out-of-range port is a usage error, not a late
+// connect failure.
+TEST_F(CpdTrainFlagsTest, NonNumericWorkerHostIsUsageError) {
+  EXPECT_EQ(Run("--executor distributed --worker_addrs localhost:7001"), 2);
+}
+
+TEST_F(CpdTrainFlagsTest, WorkerPortAboveRangeIsUsageError) {
+  EXPECT_EQ(Run("--executor distributed --worker_addrs 127.0.0.1:70000"), 2);
+}
+
+TEST(DistConfigTest, NonNumericWorkerHostIsRejected) {
+  CpdConfig config = BaseConfig();
+  config.executor_mode = ExecutorMode::kDistributed;
+  config.dist_worker_addrs = "127.0.0.1:7001,localhost:7001";
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("numeric IPv4"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(DistConfigTest, WorkerPortAboveRangeIsRejected) {
+  CpdConfig config = BaseConfig();
+  config.executor_mode = ExecutorMode::kDistributed;
+  config.dist_worker_addrs = "127.0.0.1:65535";
+  EXPECT_TRUE(config.Validate().ok());
+  for (const char* addrs : {"127.0.0.1:70000", "127.0.0.1:65536",
+                            "127.0.0.1:7a", "127.0.0.1", ":7001"}) {
+    config.dist_worker_addrs = addrs;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << addrs;
+  }
+}
+
 // The address list is split once (CpdConfig::DistWorkerAddrs) for both the
 // worker count and the connections, so an empty entry cannot make the two
 // disagree: Validate rejects it.
