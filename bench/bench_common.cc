@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -125,6 +126,20 @@ long CurrentRssKb() {
   }
   std::fclose(status);
   return rss_kb;
+}
+
+bool WriteBenchJson(const std::string& file_name, const Json& json) {
+  const char* dir = std::getenv("CPD_BENCH_JSON_DIR");
+  const std::string path =
+      (dir != nullptr ? std::string(dir) + "/" : std::string()) + file_name;
+  const Status status = WriteStringToFile(path, json.Dump() + "\n");
+  if (!status.ok()) {
+    std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
+                 status.message().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace cpd::bench

@@ -22,6 +22,7 @@
 #include "graph/social_graph.h"
 #include "synth/generator.h"
 #include "synth/synth_config.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
@@ -88,6 +89,11 @@ void PrintBenchHeader(const std::string& title, const BenchScale& scale,
 /// or 0 on platforms without procfs. Used by the load_mode bench sections to
 /// report how much private heap each artifact backing pins.
 long CurrentRssKb();
+
+/// Writes `json` (util/json's canonical one-line form) to `file_name` in
+/// $CPD_BENCH_JSON_DIR, or in the working directory when that is unset, and
+/// prints the path. False, after printing why, when the write fails.
+bool WriteBenchJson(const std::string& file_name, const Json& json);
 
 }  // namespace cpd::bench
 

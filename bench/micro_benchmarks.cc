@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench_common.h"
 #include "core/em_trainer.h"
 #include "core/gibbs_sampler.h"
 #include "sampling/alias_table.h"
@@ -24,10 +25,8 @@
 #include "synth/generator.h"
 #include "synth/synth_config.h"
 #include "topic/lda.h"
-#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace cpd {
@@ -174,14 +173,6 @@ BENCHMARK(BM_FullEmIteration)->Arg(1)->Arg(4);
 
 // ---------- dense-vs-sparse sampler sweep -> BENCH_sampler.json ----------
 
-struct SamplerSweepPoint {
-  int num_topics = 0;
-  double dense_tokens_per_sec = 0.0;
-  double sparse_tokens_per_sec = 0.0;
-  double topic_accept_rate = 0.0;
-  double community_accept_rate = 0.0;
-};
-
 double MeasureTokensPerSec(const SynthResult& data, SamplerMode mode, int k,
                            MhStats* mh_out) {
   CpdConfig config;
@@ -209,54 +200,36 @@ double MeasureTokensPerSec(const SynthResult& data, SamplerMode mode, int k,
 
 void WriteSamplerSweepJson() {
   const SynthResult& data = MicroData();
-  std::vector<SamplerSweepPoint> points;
+  Json results = Json::MakeArray();
   for (int k : {10, 50, 200}) {
-    SamplerSweepPoint point;
-    point.num_topics = k;
-    point.dense_tokens_per_sec =
+    const double dense =
         MeasureTokensPerSec(data, SamplerMode::kDense, k, nullptr);
     MhStats mh;
-    point.sparse_tokens_per_sec =
+    const double sparse =
         MeasureTokensPerSec(data, SamplerMode::kSparse, k, &mh);
-    point.topic_accept_rate = mh.TopicAcceptRate();
-    point.community_accept_rate = mh.CommunityAcceptRate();
-    points.push_back(point);
     std::printf("sampler sweep K=%-3d  dense %.0f tok/s  sparse %.0f tok/s  "
                 "(%.2fx, topic acc %.2f, community acc %.2f)\n",
-                k, point.dense_tokens_per_sec, point.sparse_tokens_per_sec,
-                point.sparse_tokens_per_sec / point.dense_tokens_per_sec,
-                point.topic_accept_rate, point.community_accept_rate);
+                k, dense, sparse, sparse / dense, mh.TopicAcceptRate(),
+                mh.CommunityAcceptRate());
+    Json row = Json::MakeObject();
+    row.Set("num_topics", k);
+    row.Set("dense_tokens_per_sec", dense);
+    row.Set("sparse_tokens_per_sec", sparse);
+    row.Set("speedup", sparse / dense);
+    row.Set("topic_accept_rate", mh.TopicAcceptRate());
+    row.Set("community_accept_rate", mh.CommunityAcceptRate());
+    results.Append(std::move(row));
   }
-
-  std::string json = "{\n  \"bench\": \"sampler_mode_sweep\",\n";
-  json += StrFormat("  \"dataset\": {\"users\": %zu, \"documents\": %zu, "
-                    "\"tokens\": %lld, \"communities\": 8},\n",
-                    data.graph.num_users(), data.graph.num_documents(),
-                    static_cast<long long>(data.graph.corpus().total_tokens()));
-  json += "  \"results\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SamplerSweepPoint& p = points[i];
-    json += StrFormat(
-        "    {\"num_topics\": %d, \"dense_tokens_per_sec\": %.1f, "
-        "\"sparse_tokens_per_sec\": %.1f, \"speedup\": %.3f, "
-        "\"topic_accept_rate\": %.4f, \"community_accept_rate\": %.4f}%s\n",
-        p.num_topics, p.dense_tokens_per_sec, p.sparse_tokens_per_sec,
-        p.sparse_tokens_per_sec / p.dense_tokens_per_sec, p.topic_accept_rate,
-        p.community_accept_rate, i + 1 < points.size() ? "," : "");
-  }
-  json += "  ]\n}\n";
-
-  const char* dir = std::getenv("CPD_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr ? std::string(dir) + "/" : std::string()) +
-      "BENCH_sampler.json";
-  const Status status = WriteStringToFile(path, json);
-  if (!status.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
-                 status.message().c_str());
-  } else {
-    std::printf("wrote %s\n", path.c_str());
-  }
+  Json dataset = Json::MakeObject();
+  dataset.Set("users", data.graph.num_users());
+  dataset.Set("documents", data.graph.num_documents());
+  dataset.Set("tokens", data.graph.corpus().total_tokens());
+  dataset.Set("communities", 8);
+  Json json = Json::MakeObject();
+  json.Set("bench", "sampler_mode_sweep");
+  json.Set("dataset", std::move(dataset));
+  json.Set("results", std::move(results));
+  bench::WriteBenchJson("BENCH_sampler.json", json);
 }
 
 }  // namespace

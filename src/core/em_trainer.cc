@@ -166,25 +166,11 @@ Status EmTrainer::WarmStart(const WarmStartOptions& options) {
   // Restore previous assignments and their counter contributions; the
   // counters advance document by document so the prior-proposal draws for
   // new rows below condition on everything already placed.
-  const auto add_doc_counts = [&](size_t d) {
-    const Document& doc = graph_.document(static_cast<DocId>(d));
-    const auto z = static_cast<size_t>(s.doc_topic[d]);
-    const auto c = static_cast<size_t>(s.doc_community[d]);
-    ++s.n_uc[static_cast<size_t>(doc.user) *
-                 static_cast<size_t>(s.num_communities) +
-             c];
-    ++s.n_u[static_cast<size_t>(doc.user)];
-    ++s.n_cz[c * static_cast<size_t>(s.num_topics) + z];
-    ++s.n_c[c];
-    for (const WordId w : doc.words) {
-      ++s.n_zw[z * s.vocab_size + static_cast<size_t>(w)];
-    }
-    s.n_z[z] += static_cast<int64_t>(doc.words.size());
-  };
   for (size_t d = 0; d < num_prev; ++d) {
     s.doc_topic[d] = options.prev_doc_topic[d];
     s.doc_community[d] = options.prev_doc_community[d];
-    add_doc_counts(d);
+    s.AddDocumentCounts(graph_.document(static_cast<DocId>(d)),
+                        s.doc_community[d], s.doc_topic[d]);
   }
 
   // Sparse-sampler initialization for the new rows: draw the community from
@@ -213,7 +199,7 @@ Status EmTrainer::WarmStart(const WarmStartOptions& options) {
     }
     s.doc_community[d] = c;
     s.doc_topic[d] = static_cast<int32_t>(SampleCategorical(topic_weights, &rng_));
-    add_doc_counts(d);
+    s.AddDocumentCounts(doc, c, s.doc_topic[d]);
   }
 
   state_->popularity.Refresh(graph_, state_->doc_topic);
@@ -261,13 +247,6 @@ Status EmTrainer::EStep() {
   WallTimer timer;
   CPD_RETURN_IF_ERROR(EnsureExecutor());
 
-  // Mirror the master sampler's two-phase-schedule switches into the shard
-  // kernels for this E-step.
-  KernelFlags flags;
-  flags.freeze_communities = sampler_->freeze_communities();
-  flags.community_uses_content = sampler_->community_uses_content();
-  flags.community_uses_diffusion = sampler_->community_uses_diffusion();
-
   executor_->ResetTimings();
   const int64_t e_step_index = trace_e_step_++;
   // The M-step-owned parameters (eta, weights, popularity) cannot change
@@ -299,7 +278,7 @@ Status EmTrainer::EStep() {
       obs::TraceSpan span(trace_.get(), "sample_shards", kTrainerTid);
       span.AddArg("sweep", Json(sweep_index));
       span.AddArg("e_step", Json(e_step_index));
-      CPD_RETURN_IF_ERROR(executor_->SampleShards(snapshot_, flags, &deltas_));
+      CPD_RETURN_IF_ERROR(executor_->SampleShards(snapshot_, flags_, &deltas_));
       span.AddArg("shards", Json(static_cast<int64_t>(deltas_.size())));
     }
 
@@ -333,9 +312,7 @@ Status EmTrainer::EStep() {
   const CollapseCacheStats collapse = executor_->ConsumeCollapseCacheStats();
   stats_.eta_collapse_hits += collapse.hits;
   stats_.eta_collapse_misses += collapse.misses;
-  // Fold shard-sampler MH counters into the master so mh_stats() keeps
-  // reporting sparse-backend acceptance health for the whole run.
-  sampler_->AccumulateMhStats(executor_->ConsumeMhStats());
+  stats_.mh += executor_->ConsumeMhStats();
   stats_.thread_actual_seconds = executor_->shard_seconds();
   UpdateTransportStats();
   stats_.e_step_seconds += timer.ElapsedSeconds();
@@ -482,14 +459,12 @@ Status EmTrainer::Train() {
     // only (content and diffusion excluded from the community conditional),
     // phase B freezes the communities and fits topics + profiles.
     const int phase_a = std::max(1, config_.em_iterations / 2);
-    sampler_->set_community_uses_content(false);
-    sampler_->set_community_uses_diffusion(false);
+    flags_.community_uses_content = false;
+    flags_.community_uses_diffusion = false;
     for (int iter = 0; iter < phase_a; ++iter) {
       CPD_RETURN_IF_ERROR(EStep());
     }
-    sampler_->set_freeze_communities(true);
-    sampler_->set_community_uses_content(true);
-    sampler_->set_community_uses_diffusion(true);
+    flags_ = KernelFlags{.freeze_communities = true};
     joint_iterations = std::max(1, config_.em_iterations - phase_a);
   }
 

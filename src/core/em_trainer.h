@@ -43,6 +43,9 @@ struct TrainStats {
   /// Eta/theta endpoint-collapse memo counters (cache_eta_collapse).
   int64_t eta_collapse_hits = 0;
   int64_t eta_collapse_misses = 0;
+  /// Sparse-backend MH proposal/accept totals, summed over every shard
+  /// sweep of the run (zeros under the dense backend).
+  MhStats mh;
   /// Per-shard estimated workload and measured time of the last E-step
   /// (Fig. 11 data). One entry per shard (== per thread by default).
   std::vector<double> thread_estimated_workload;
@@ -157,6 +160,9 @@ class EmTrainer {
   Rng rng_;
   TrainStats stats_;
   bool initialized_ = false;
+  /// Kernel switches of every shard sweep; Train() flips them for the "no
+  /// joint modeling" two-phase schedule.
+  KernelFlags flags_;
 
   // Snapshot/delta E-step plumbing (executor lazily built on first EStep;
   // snapshot and delta buffers reused across sweeps).

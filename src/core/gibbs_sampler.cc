@@ -1,6 +1,5 @@
 #include "core/gibbs_sampler.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "core/state_snapshot.h"
@@ -10,28 +9,6 @@
 #include "util/math_util.h"
 
 namespace cpd {
-
-namespace {
-
-// Counter updates: plain in the serial sweep, relaxed atomics in the
-// parallel sweep (benign-staleness reads, AD-LDA style).
-inline void Add32(int32_t* x, int32_t d, bool concurrent) {
-  if (concurrent) {
-    std::atomic_ref<int32_t>(*x).fetch_add(d, std::memory_order_relaxed);
-  } else {
-    *x += d;
-  }
-}
-
-inline void Add64(int64_t* x, int64_t d, bool concurrent) {
-  if (concurrent) {
-    std::atomic_ref<int64_t>(*x).fetch_add(d, std::memory_order_relaxed);
-  } else {
-    *x += d;
-  }
-}
-
-}  // namespace
 
 namespace {
 
@@ -76,10 +53,10 @@ void RebuildTablesFromCounts(SparseSamplerTables* tables, const int32_t* n_cz,
 
 }  // namespace
 
-void SparseSamplerTables::Rebuild(const ModelState& state, ThreadPool* pool) {
+void SparseSamplerTables::Rebuild(const ModelState& state) {
   RebuildTablesFromCounts(this, state.n_cz.data(), state.n_zw.data(),
                           state.num_communities, state.num_topics,
-                          state.vocab_size, state.alpha, state.beta, pool);
+                          state.vocab_size, state.alpha, state.beta, nullptr);
 }
 
 void SparseSamplerTables::Rebuild(const StateSnapshot& snapshot,
@@ -152,85 +129,30 @@ double GibbsSampler::LinkLogLikelihood() const {
   return total;
 }
 
-void GibbsSampler::RemoveDocTopicCounts(const Document& doc, int32_t c,
-                                        int32_t z, bool concurrent) {
+void GibbsSampler::BumpDocTopicCounts(const Document& doc, int32_t c,
+                                      int32_t z, int32_t by) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
   const size_t vocab = s.vocab_size;
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], -1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], -1, concurrent);
+  s.n_cz[static_cast<size_t>(c) * kz + z] += by;
+  s.n_c[static_cast<size_t>(c)] += by;
   for (WordId w : doc.words) {
-    Add32(&s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)], -1,
-          concurrent);
+    s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)] += by;
   }
-  Add64(&s.n_z[static_cast<size_t>(z)],
-        -static_cast<int64_t>(doc.words.size()), concurrent);
+  s.n_z[static_cast<size_t>(z)] += by * static_cast<int64_t>(doc.words.size());
 }
 
-void GibbsSampler::AddDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                                     bool concurrent) {
+void GibbsSampler::BumpDocCommunityCounts(UserId u, int32_t c, int32_t z,
+                                          int32_t by) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
-  const size_t vocab = s.vocab_size;
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], 1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], 1, concurrent);
-  for (WordId w : doc.words) {
-    Add32(&s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)], 1,
-          concurrent);
-  }
-  Add64(&s.n_z[static_cast<size_t>(z)], static_cast<int64_t>(doc.words.size()),
-        concurrent);
+  s.BumpUserCommunity(u, c, by);
+  s.n_u[static_cast<size_t>(u)] += by;
+  s.n_cz[static_cast<size_t>(c) * kz + z] += by;
+  s.n_c[static_cast<size_t>(c)] += by;
 }
 
-void GibbsSampler::RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                            bool concurrent) {
-  ModelState& s = *state_;
-  const int kz = s.num_topics;
-  const int kc = s.num_communities;
-  if (concurrent) {
-    // The n_uc row cache is not thread-safe; concurrent relaxed-atomic
-    // sweeps bypass it (and never consult it in the kernels).
-    Add32(&s.n_uc[static_cast<size_t>(u) * kc + c], -1, concurrent);
-  } else {
-    s.BumpUserCommunity(u, c, -1);
-  }
-  Add32(&s.n_u[static_cast<size_t>(u)], -1, concurrent);
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], -1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], -1, concurrent);
-}
-
-void GibbsSampler::AddDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                         bool concurrent) {
-  ModelState& s = *state_;
-  const int kz = s.num_topics;
-  const int kc = s.num_communities;
-  if (concurrent) {
-    Add32(&s.n_uc[static_cast<size_t>(u) * kc + c], 1, concurrent);
-  } else {
-    s.BumpUserCommunity(u, c, 1);
-  }
-  Add32(&s.n_u[static_cast<size_t>(u)], 1, concurrent);
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], 1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], 1, concurrent);
-}
-
-void GibbsSampler::ResampleTopic(DocId d, bool concurrent, Rng* rng) {
-  if (config_.sampler_mode == SamplerMode::kSparse) {
-    ResampleTopicSparse(d, concurrent, rng);
-  } else {
-    ResampleTopicDense(d, concurrent, rng);
-  }
-}
-
-void GibbsSampler::ResampleCommunity(DocId d, bool concurrent, Rng* rng) {
-  if (config_.sampler_mode == SamplerMode::kSparse) {
-    ResampleCommunitySparse(d, concurrent, rng);
-  } else {
-    ResampleCommunityDense(d, concurrent, rng);
-  }
-}
-
-void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleTopicDense(DocId d, Rng* rng) {
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
   const UserId u = doc.user;
@@ -241,7 +163,7 @@ void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
   const size_t len = doc.words.size();
 
   // Exclude the document: topic-side counters only (community unchanged).
-  RemoveDocTopicCounts(doc, c, z_old, concurrent);
+  BumpDocTopicCounts(doc, c, z_old, -1);
 
   static thread_local std::vector<double> logw;
   logw.assign(static_cast<size_t>(kz), 0.0);
@@ -274,7 +196,7 @@ void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
   // this document is the diffusing side depend on the candidate topic; links
   // where it is the diffused side keep the source document's topic.
   if (config_.ablation.model_diffusion && config_.ablation.heterogeneous_links &&
-      community_uses_diffusion_) {
+      flags_.community_uses_diffusion) {
     for (int32_t e_idx : graph_.DiffusionNeighbors(d)) {
       const DiffusionLink& link = graph_.diffusion_links()[static_cast<size_t>(e_idx)];
       if (link.i != d) continue;
@@ -292,7 +214,7 @@ void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t z_new =
       static_cast<int32_t>(SampleCategoricalFromLog(logw, rng));
   s.doc_topic[static_cast<size_t>(d)] = z_new;
-  AddDocTopicCounts(doc, c, z_new, concurrent);
+  BumpDocTopicCounts(doc, c, z_new, 1);
 }
 
 double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
@@ -321,7 +243,7 @@ double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
   }
 
   if (config_.ablation.model_diffusion && config_.ablation.heterogeneous_links &&
-      community_uses_diffusion_) {
+      flags_.community_uses_diffusion) {
     const UserId u = doc.user;
     for (int32_t e_idx : graph_.DiffusionNeighbors(d)) {
       const DiffusionLink& link =
@@ -338,15 +260,8 @@ double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
   return lw;
 }
 
-void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
-  if (!active_tables().ready()) {
-    // Lazy init is inherently serial; a concurrent caller that skipped
-    // RebuildSparseTables() would race the table construction, and an
-    // executor sharing external tables must rebuild them before the sweep —
-    // fail loudly instead of corrupting memory.
-    CPD_CHECK(!concurrent && external_tables_ == nullptr);
-    RebuildSparseTables();
-  }
+void GibbsSampler::ResampleTopicSparse(DocId d, Rng* rng) {
+  CPD_CHECK(active_tables().ready());
   const SparseSamplerTables& tables = active_tables();
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
@@ -354,7 +269,7 @@ void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
   const int32_t z_old = s.doc_topic[static_cast<size_t>(d)];
   const size_t len = doc.words.size();
 
-  RemoveDocTopicCounts(doc, c, z_old, concurrent);
+  BumpDocTopicCounts(doc, c, z_old, -1);
 
   // MH chain targeting the exact conditional, started at the current
   // assignment. Cycle proposals: even steps draw from the community-prior
@@ -389,11 +304,11 @@ void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
       ++accepts;
     }
   }
-  topic_proposals_.fetch_add(proposals, std::memory_order_relaxed);
-  topic_accepts_.fetch_add(accepts, std::memory_order_relaxed);
+  mh_.topic_proposals += proposals;
+  mh_.topic_accepts += accepts;
 
   s.doc_topic[static_cast<size_t>(d)] = z_cur;
-  AddDocTopicCounts(doc, c, z_cur, concurrent);
+  BumpDocTopicCounts(doc, c, z_cur, 1);
 }
 
 double GibbsSampler::FillMembershipVector(UserId other, const double* q,
@@ -480,10 +395,10 @@ const double* GibbsSampler::CollapsedEtaVector(UserId other, int z_e,
                        (is_source ? 1ULL : 0ULL);
   const auto it = collapse_index_.find(key);
   if (it != collapse_index_.end()) {
-    ++collapse_hits_;
+    ++collapse_.hits;
     return collapse_vectors_.data() + it->second;
   }
-  ++collapse_misses_;
+  ++collapse_.misses;
   if (collapse_index_.size() >= kCollapseMemoMaxEntries) {
     static thread_local std::vector<double> scratch;
     scratch.resize(kc);
@@ -497,8 +412,8 @@ const double* GibbsSampler::CollapsedEtaVector(UserId other, int z_e,
   return collapse_vectors_.data() + offset;
 }
 
-void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
-  if (freeze_communities_) return;
+void GibbsSampler::ResampleCommunityDense(DocId d, Rng* rng) {
+  if (flags_.freeze_communities) return;
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
   const UserId u = doc.user;
@@ -508,7 +423,7 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t c_old = s.doc_community[static_cast<size_t>(d)];
 
   // Exclude the document: community-side counters.
-  RemoveDocCommunityCounts(u, c_old, z, concurrent);
+  BumpDocCommunityCounts(u, c_old, z, -1);
 
   static thread_local std::vector<double> logw, q, pio;
   logw.assign(static_cast<size_t>(kc), 0.0);
@@ -522,7 +437,7 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
         static_cast<double>(s.n_uc[static_cast<size_t>(u) * kc + c]) + s.rho;
     logw[static_cast<size_t>(c)] = std::log(q[static_cast<size_t>(c)]);
   }
-  if (community_uses_content_) {
+  if (flags_.community_uses_content) {
     const double z_alpha = static_cast<double>(kz) * s.alpha;
     for (int c = 0; c < kc; ++c) {
       logw[static_cast<size_t>(c)] +=
@@ -549,7 +464,7 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
   }
 
   // Diffusion psi terms over Lambda_i (Eq. 14).
-  if (config_.ablation.model_diffusion && community_uses_diffusion_) {
+  if (config_.ablation.model_diffusion && flags_.community_uses_diffusion) {
     pio.resize(static_cast<size_t>(kc));
     for (int32_t e_idx : graph_.DiffusionNeighbors(d)) {
       const DiffusionLink& link = graph_.diffusion_links()[static_cast<size_t>(e_idx)];
@@ -593,11 +508,11 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t c_new =
       static_cast<int32_t>(SampleCategoricalFromLog(logw, rng));
   s.doc_community[static_cast<size_t>(d)] = c_new;
-  AddDocCommunityCounts(u, c_new, z, concurrent);
+  BumpDocCommunityCounts(u, c_new, z, 1);
 }
 
-void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
-  if (freeze_communities_) return;
+void GibbsSampler::ResampleCommunitySparse(DocId d, Rng* rng) {
+  if (flags_.freeze_communities) return;
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
   const UserId u = doc.user;
@@ -606,23 +521,16 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
   const int32_t z = s.doc_topic[static_cast<size_t>(d)];
   const int32_t c_old = s.doc_community[static_cast<size_t>(d)];
 
-  RemoveDocCommunityCounts(u, c_old, z, concurrent);
+  BumpDocCommunityCounts(u, c_old, z, -1);
 
   // The conditional factors as  p(c) ∝ (n_uc[u][c] + rho) * R(c)  where R
   // collects the content term and the link psi terms. We propose directly
   // from the *fresh* prior factor — its sparse part is the user's nonzero
   // community row, its dense part is the flat rho mass — so the MH ratio
-  // reduces to R(c_prop) / R(c_cur): no O(|C|) log/exp scan anywhere.
-  // Shard-local sweeps read the write-through row cache (O(k_u) after the
-  // user's first document); concurrent sweeps fall back to the fresh scan.
-  static thread_local std::vector<SparseCount> nonzero_scratch;
-  std::span<const SparseCount> nonzero;
-  if (concurrent) {
-    s.NonzeroUserCommunities(u, &nonzero_scratch);
-    nonzero = nonzero_scratch;
-  } else {
-    nonzero = s.UserCommunityRow(u);
-  }
+  // reduces to R(c_prop) / R(c_cur): no O(|C|) log/exp scan anywhere. The
+  // write-through row cache serves the sparse part in O(k_u) after the
+  // user's first document.
+  const std::span<const SparseCount> nonzero = s.UserCommunityRow(u);
   const double sparse_mass = static_cast<double>(s.n_u[static_cast<size_t>(u)]);
   const double rho_mass = static_cast<double>(kc) * s.rho;
   const double denom_pi = sparse_mass + 1.0 + rho_mass;
@@ -670,7 +578,7 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
     }
   }
 
-  if (config_.ablation.model_diffusion && community_uses_diffusion_) {
+  if (config_.ablation.model_diffusion && flags_.community_uses_diffusion) {
     for (int32_t e_idx : graph_.DiffusionNeighbors(d)) {
       const DiffusionLink& link =
           graph_.diffusion_links()[static_cast<size_t>(e_idx)];
@@ -712,7 +620,7 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
   const double z_alpha = static_cast<double>(kz) * s.alpha;
   const auto log_rest = [&](int cand) {
     double lw = 0.0;
-    if (community_uses_content_) {
+    if (flags_.community_uses_content) {
       lw += std::log(
                 static_cast<double>(s.n_cz[static_cast<size_t>(cand) * kz + z]) +
                 s.alpha) -
@@ -763,41 +671,17 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
       ++accepts;
     }
   }
-  community_proposals_.fetch_add(proposals, std::memory_order_relaxed);
-  community_accepts_.fetch_add(accepts, std::memory_order_relaxed);
+  mh_.community_proposals += proposals;
+  mh_.community_accepts += accepts;
 
   s.doc_community[static_cast<size_t>(d)] = c_cur;
-  AddDocCommunityCounts(u, c_cur, z, concurrent);
+  BumpDocCommunityCounts(u, c_cur, z, 1);
 }
 
-void GibbsSampler::RebuildSparseTables(ThreadPool* pool) {
-  tables_.Rebuild(*state_, pool);
-}
-
-MhStats GibbsSampler::mh_stats() const {
-  MhStats stats = folded_mh_;
-  stats += {topic_proposals_.load(std::memory_order_relaxed),
-            topic_accepts_.load(std::memory_order_relaxed),
-            community_proposals_.load(std::memory_order_relaxed),
-            community_accepts_.load(std::memory_order_relaxed)};
-  return stats;
-}
-
-void GibbsSampler::ResetMhStats() {
-  topic_proposals_.store(0, std::memory_order_relaxed);
-  topic_accepts_.store(0, std::memory_order_relaxed);
-  community_proposals_.store(0, std::memory_order_relaxed);
-  community_accepts_.store(0, std::memory_order_relaxed);
-  folded_mh_ = MhStats();
-}
-
-// The collapse memo requires (a) a sampler driven by a single thread for
-// the whole sweep — shard-local or serial sweeps; legacy concurrent callers
-// share the sampler across threads, so the memo members must not even be
-// touched there — and (b) tolerance for within-sweep staleness: the memo
-// feeds the community kernel's MH target, so the staleness is an
-// uncorrected AD-LDA-class approximation, acceptable for the sparse
-// backend but not for the dense exact-reference path.
+// The collapse memo tolerates within-sweep staleness: it feeds the
+// community kernel's MH target, so the staleness is an uncorrected
+// AD-LDA-class approximation, acceptable for the sparse backend but not for
+// the dense exact-reference path.
 void GibbsSampler::BeginCollapseMemoSweep() {
   collapse_cache_active_ = config_.cache_eta_collapse &&
                            config_.sampler_mode == SamplerMode::kSparse;
@@ -808,34 +692,31 @@ void GibbsSampler::BeginCollapseMemoSweep() {
 void GibbsSampler::SweepDocuments(Rng* rng) {
   if (config_.sampler_mode == SamplerMode::kSparse &&
       external_tables_ == nullptr) {
-    RebuildSparseTables();
+    tables_.Rebuild(*state_);
   }
+  std::vector<UserId> users(graph_.num_users());
+  for (size_t u = 0; u < users.size(); ++u) users[u] = static_cast<UserId>(u);
+  SweepUsers(users, rng);
+}
+
+void GibbsSampler::SweepUsers(std::span<const UserId> users, Rng* rng) {
   BeginCollapseMemoSweep();
-  // Counts may have been rewritten since the last sweep (delta merge,
-  // direct mutation); rebuild the n_uc row cache lazily from scratch.
-  state_->InvalidateUserCommunityRows();
-  for (size_t u = 0; u < graph_.num_users(); ++u) {
-    for (DocId d : graph_.DocumentsOf(static_cast<UserId>(u))) {
-      ResampleTopic(d, /*concurrent=*/false, rng);
-      ResampleCommunity(d, /*concurrent=*/false, rng);
+  // Counts may have been rewritten since the last sweep (snapshot restore,
+  // delta merge); these users' n_uc rows are rebuilt lazily from scratch.
+  state_->InvalidateUserCommunityRows(users);
+  const bool sparse = config_.sampler_mode == SamplerMode::kSparse;
+  for (UserId u : users) {
+    for (DocId d : graph_.DocumentsOf(u)) {
+      if (sparse) {
+        ResampleTopicSparse(d, rng);
+        ResampleCommunitySparse(d, rng);
+      } else {
+        ResampleTopicDense(d, rng);
+        ResampleCommunityDense(d, rng);
+      }
     }
   }
   collapse_cache_active_ = false;
-}
-
-void GibbsSampler::SweepUsers(std::span<const UserId> users, bool concurrent,
-                              Rng* rng) {
-  if (!concurrent) {
-    BeginCollapseMemoSweep();
-    state_->InvalidateUserCommunityRows(users);
-  }
-  for (UserId u : users) {
-    for (DocId d : graph_.DocumentsOf(u)) {
-      ResampleTopic(d, concurrent, rng);
-      ResampleCommunity(d, concurrent, rng);
-    }
-  }
-  if (!concurrent) collapse_cache_active_ = false;
 }
 
 void GibbsSampler::SweepFriendshipAugmentation(Rng* rng) {

@@ -3,12 +3,12 @@
 
 /// \file gibbs_sampler.h
 /// Collapsed Gibbs sampler with Polya-Gamma augmentation for CPD
-/// (paper §4.1, Eqs. 13-16). The same kernels serve the serial E-step and
-/// the shard-local snapshot/delta E-step of §4.3: each shard executor binds
-/// one sampler to a private working ModelState and sweeps it single-threaded
-/// (`concurrent = false`), so the trainer path needs no atomics. The
-/// `concurrent = true` mode (relaxed-atomic counter updates over one shared
-/// state, AD-LDA style) remains for direct embedders of the sampler.
+/// (paper §4.1, Eqs. 13-16). There is one sweep protocol: a sampler owns
+/// one ModelState and sweeps it from one thread with plain counter updates.
+/// The parallel E-step of §4.3 gets its parallelism from
+/// shards, not from shared counters: each ShardRunner slot binds one
+/// sampler to a private working state restored from a StateSnapshot, and
+/// the trainer merges the shards' CounterDeltas (parallel/shard_executor.h).
 ///
 /// Two interchangeable E-step backends (CpdConfig::sampler_mode):
 ///  - kDense: exact conditional scan over every candidate topic/community in
@@ -22,7 +22,6 @@
 ///    document is O(len + links) per MH step instead of O(|Z| * len) /
 ///    O(|C| * links); the stationary distribution is identical.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -57,15 +56,13 @@ struct SparseSamplerTables {
 
   bool ready() const { return !community_topic.empty(); }
 
-  /// Rebuilds every table from the state's current counts; with a pool the
-  /// per-community / per-word rebuilds are sharded across the workers, with
-  /// nullptr the rebuild runs serially. Used by serial SweepDocuments
-  /// callers and direct embedders of the sampler.
-  void Rebuild(const ModelState& state, ThreadPool* pool);
+  /// Rebuilds every table serially from the state's current counts (the
+  /// sampler's own tables, at the start of SweepDocuments).
+  void Rebuild(const ModelState& state);
 
-  /// Same rebuild, reading the frozen counts of a StateSnapshot directly —
-  /// the shard executors use this once per sweep so no working state has to
-  /// be materialized just to source the tables.
+  /// Same rebuild, reading the frozen counts of a StateSnapshot directly and
+  /// sharded over `pool` when non-null — the shard executors use this once
+  /// per sweep so no working state has to be materialized for the tables.
   void Rebuild(const StateSnapshot& snapshot, ThreadPool* pool);
 };
 
@@ -99,6 +96,16 @@ struct MhStats {
   }
 };
 
+/// Switches of the "no joint modeling" two-phase schedule: phase A detects
+/// communities from friendship links only (content and diffusion excluded
+/// from the community weights), phase B freezes communities. The trainer
+/// owns the schedule's flags and hands them to every shard sweep.
+struct KernelFlags {
+  bool freeze_communities = false;
+  bool community_uses_content = true;
+  bool community_uses_diffusion = true;
+};
+
 /// Hit/miss counters of the per-sweep eta/theta endpoint-collapse memo (the
 /// diffusion-link community term; see CpdConfig::cache_eta_collapse).
 struct CollapseCacheStats {
@@ -124,13 +131,14 @@ class GibbsSampler {
                const LinkCaches& caches, ModelState* state);
 
   /// One full sweep: resamples z_ui and c_ui for every document (Alg. 1
-  /// steps 4-6). In sparse mode the alias tables are rebuilt at sweep start.
+  /// steps 4-6). In sparse mode the internal alias tables are rebuilt first
+  /// (unless external tables are in use).
   void SweepDocuments(Rng* rng);
 
-  /// Sweeps only the documents of the given users (one parallel segment).
-  /// In sparse mode the caller must RebuildSparseTables() once per sweep
-  /// before fanning out segments (the tables are shared and read-only).
-  void SweepUsers(std::span<const UserId> users, bool concurrent, Rng* rng);
+  /// Sweeps only the documents of the given users, in order. In sparse mode
+  /// the active tables must be ready (SweepDocuments or an executor rebuilds
+  /// them once per sweep).
+  void SweepUsers(std::span<const UserId> users, Rng* rng);
 
   /// Resamples every lambda_uv ~ PG(1, pihat_u . pihat_v) (Eq. 15),
   /// optionally restricted to a range of link indices [begin, end).
@@ -142,23 +150,6 @@ class GibbsSampler {
   void SweepDiffusionAugmentation(Rng* rng);
   void SweepDiffusionAugmentation(size_t begin, size_t end, Rng* rng);
 
-  /// Per-document kernels (exposed for tests). Dispatch on
-  /// config.sampler_mode; the *Dense/*Sparse variants are also exposed so
-  /// the equivalence tests can drive both paths on one state.
-  void ResampleTopic(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunity(DocId d, bool concurrent, Rng* rng);
-  void ResampleTopicDense(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunityDense(DocId d, bool concurrent, Rng* rng);
-  void ResampleTopicSparse(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng);
-
-  /// Sparse mode: rebuilds the stale alias proposal tables from the current
-  /// counts (no-op work but cheap in dense mode — tables are simply unused).
-  /// Serial callers may rely on SweepDocuments doing this; the parallel
-  /// trainer calls it explicitly (optionally sharded over its pool) once per
-  /// sweep before submitting segments.
-  void RebuildSparseTables(ThreadPool* pool = nullptr);
-
   /// Points the sparse kernels at an externally owned, already-rebuilt table
   /// set. The shard executors rebuild one table set per sweep from the
   /// snapshot counts and share it read-only across every shard sampler
@@ -169,23 +160,13 @@ class GibbsSampler {
   }
 
   /// Per-sweep collapse-memo counters (aggregated into TrainStats).
-  CollapseCacheStats collapse_cache_stats() const {
-    return {collapse_hits_, collapse_misses_};
-  }
-  void ResetCollapseCacheStats() {
-    collapse_hits_ = 0;
-    collapse_misses_ = 0;
-  }
+  const CollapseCacheStats& collapse_cache_stats() const { return collapse_; }
+  void ResetCollapseCacheStats() { collapse_ = CollapseCacheStats(); }
 
-  /// Snapshot / reset of the MH acceptance counters (sparse mode only).
-  MhStats mh_stats() const;
-  void ResetMhStats();
-
-  /// Adds externally accumulated counters into this sampler's totals. The
-  /// trainer folds its shard samplers' MH stats into the master sampler
-  /// after every E-step, so mh_stats() on the master keeps reporting
-  /// acceptance health for the whole training run.
-  void AccumulateMhStats(const MhStats& stats) { folded_mh_ += stats; }
+  /// MH acceptance counters since the last reset (sparse mode only; the
+  /// trainer sums its shard samplers' into TrainStats::mh).
+  const MhStats& mh_stats() const { return mh_; }
+  void ResetMhStats() { mh_ = MhStats(); }
 
   /// w_ij of Eq. 5 (or the Eq. 3 energy under the no-heterogeneity
   /// ablation) for diffusion link index e under the current state.
@@ -198,15 +179,9 @@ class GibbsSampler {
   /// (increases as the model fits the links).
   double LinkLogLikelihood() const;
 
-  /// "No joint modeling" support: phase A detects communities from
-  /// friendship links only (content and diffusion excluded from the
-  /// community weights), phase B freezes communities.
-  void set_freeze_communities(bool freeze) { freeze_communities_ = freeze; }
-  void set_community_uses_content(bool use) { community_uses_content_ = use; }
-  void set_community_uses_diffusion(bool use) { community_uses_diffusion_ = use; }
-  bool freeze_communities() const { return freeze_communities_; }
-  bool community_uses_content() const { return community_uses_content_; }
-  bool community_uses_diffusion() const { return community_uses_diffusion_; }
+  /// The two-phase schedule's switches the kernels obey (default: joint).
+  void set_flags(const KernelFlags& flags) { flags_ = flags; }
+  const KernelFlags& flags() const { return flags_; }
 
  private:
   /// log psi(w, x) = w/2 - x w^2 / 2 (the PG mixture kernel, Eq. 7).
@@ -217,16 +192,19 @@ class GibbsSampler {
   double LinkEnergyParts(UserId u, UserId v, int z, int32_t time, size_t e,
                          double community_score) const;
 
-  /// Shared counter bookkeeping: removes/adds one document's contribution to
-  /// the topic-side (n_cz, n_c, n_zw, n_z) or community-side (n_uc, n_u,
-  /// n_cz, n_c) counters.
-  void RemoveDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                            bool concurrent);
-  void AddDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                         bool concurrent);
-  void RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                bool concurrent);
-  void AddDocCommunityCounts(UserId u, int32_t c, int32_t z, bool concurrent);
+  /// Per-document kernels: the exact dense scan and the alias + MH sparse
+  /// backend of the topic (Eq. 13) and community (Eq. 14) conditionals.
+  void ResampleTopicDense(DocId d, Rng* rng);
+  void ResampleCommunityDense(DocId d, Rng* rng);
+  void ResampleTopicSparse(DocId d, Rng* rng);
+  void ResampleCommunitySparse(DocId d, Rng* rng);
+
+  /// Shared counter bookkeeping: adds `by` (+1 or -1) times one document's
+  /// contribution to the topic-side (n_cz, n_c, n_zw, n_z) or community-side
+  /// (n_uc through the row cache, n_u, n_cz, n_c) counters.
+  void BumpDocTopicCounts(const Document& doc, int32_t c, int32_t z,
+                          int32_t by);
+  void BumpDocCommunityCounts(UserId u, int32_t c, int32_t z, int32_t by);
 
   /// Exact (current-counts) unnormalized log conditional of topic z for
   /// document d in community c — the MH target of the sparse topic kernel.
@@ -257,7 +235,7 @@ class GibbsSampler {
   /// pointer (|C| doubles) is valid until the next call. Cached values go
   /// stale as the sweep moves counts and the staleness is NOT MH-corrected
   /// (it enters the MH target) — an AD-LDA-class approximation, so the
-  /// memo is only active inside non-concurrent *sparse* sweeps with
+  /// memo is only active inside *sparse* sweeps with
   /// config.cache_eta_collapse set; dense kernels and direct calls always
   /// get a fresh exact computation.
   const double* CollapsedEtaVector(UserId other, int z_e, bool is_source);
@@ -269,8 +247,7 @@ class GibbsSampler {
   }
 
   /// Activates (sparse mode + config flag) and clears the collapse memo for
-  /// one single-threaded sweep; callers reset collapse_cache_active_ when
-  /// the sweep ends.
+  /// one sweep; SweepUsers resets collapse_cache_active_ when it ends.
   void BeginCollapseMemoSweep();
 
   const SocialGraph& graph_;
@@ -283,23 +260,14 @@ class GibbsSampler {
   const SparseSamplerTables* external_tables_ = nullptr;
 
   // Per-sweep eta/theta collapse memo (key -> offset of a |C|-vector in
-  // collapse_vectors_). Cleared at sweep start; the owning sweep is
-  // single-threaded (shard-local), so plain counters suffice.
+  // collapse_vectors_). Cleared at sweep start.
   std::unordered_map<uint64_t, size_t> collapse_index_;
   std::vector<double> collapse_vectors_;
   bool collapse_cache_active_ = false;
-  int64_t collapse_hits_ = 0;
-  int64_t collapse_misses_ = 0;
+  CollapseCacheStats collapse_;
 
-  std::atomic<int64_t> topic_proposals_{0};
-  std::atomic<int64_t> topic_accepts_{0};
-  std::atomic<int64_t> community_proposals_{0};
-  std::atomic<int64_t> community_accepts_{0};
-  MhStats folded_mh_;  ///< AccumulateMhStats() totals.
-
-  bool freeze_communities_ = false;
-  bool community_uses_content_ = true;
-  bool community_uses_diffusion_ = true;
+  MhStats mh_;
+  KernelFlags flags_;
 };
 
 }  // namespace cpd

@@ -290,10 +290,10 @@ StatusOr<ModelDelta> BuildModelDelta(const ModelArtifact& base,
   CPD_RETURN_IF_ERROR(target.Validate());
   if (base.num_communities != target.num_communities ||
       base.num_topics != target.num_topics ||
-      base.num_time_bins != target.num_time_bins) {
+      target.num_time_bins < base.num_time_bins) {
     return Status::InvalidArgument(
-        "model delta: base and target disagree on |C|/|Z|/T (not one "
-        "lineage)");
+        "model delta: base and target disagree on |C|/|Z| or T shrinks (not "
+        "one lineage)");
   }
   if (target.num_users < base.num_users) {
     return Status::InvalidArgument(
@@ -365,9 +365,9 @@ StatusOr<ModelDelta> ComposeModelDeltas(const ModelDelta& first,
   }
   if (first.num_communities != second.num_communities ||
       first.num_topics != second.num_topics ||
-      first.num_time_bins != second.num_time_bins) {
+      second.num_time_bins < first.num_time_bins) {
     return Status::InvalidArgument(
-        "model delta: chained deltas disagree on |C|/|Z|/T");
+        "model delta: chained deltas disagree on |C|/|Z| or T shrinks");
   }
   if (second.base_num_users != first.num_users ||
       second.base_vocab_size != first.vocab_size) {
@@ -436,10 +436,7 @@ StatusOr<ModelDelta> ComposeModelDeltas(const ModelDelta& first,
   return out;
 }
 
-StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
-                                        const ModelDelta& delta) {
-  CPD_RETURN_IF_ERROR(base.Validate());
-  CPD_RETURN_IF_ERROR(delta.Validate());
+Status CheckDeltaBase(const DeltaBaseDims& base, const ModelDelta& delta) {
   if (base.generation != delta.base_generation) {
     return Status::FailedPrecondition(StrFormat(
         "model delta: patches generation %llu but the base artifact is "
@@ -449,9 +446,12 @@ StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
   }
   if (base.num_communities != delta.num_communities ||
       base.num_topics != delta.num_topics ||
-      base.num_time_bins != delta.num_time_bins) {
-    return Status::InvalidArgument(
-        "model delta: base artifact disagrees on |C|/|Z|/T");
+      base.num_time_bins > delta.num_time_bins) {
+    return Status::InvalidArgument(StrFormat(
+        "model delta: a base with |C|=%d |Z|=%d T=%d does not fit a delta "
+        "with |C|=%d |Z|=%d T=%d (|C|/|Z| must match, T may only grow)",
+        base.num_communities, base.num_topics, base.num_time_bins,
+        delta.num_communities, delta.num_topics, delta.num_time_bins));
   }
   if (base.num_users != delta.base_num_users ||
       base.vocab_size != delta.base_vocab_size) {
@@ -463,6 +463,17 @@ StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
         static_cast<unsigned long long>(base.num_users),
         static_cast<unsigned long long>(base.vocab_size)));
   }
+  return Status::OK();
+}
+
+StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
+                                        const ModelDelta& delta) {
+  CPD_RETURN_IF_ERROR(base.Validate());
+  CPD_RETURN_IF_ERROR(delta.Validate());
+  CPD_RETURN_IF_ERROR(CheckDeltaBase(
+      {base.generation, base.num_communities, base.num_topics,
+       base.num_time_bins, base.num_users, base.vocab_size},
+      delta));
   if (delta.has_vocabulary() && !base.has_vocabulary() &&
       delta.base_vocab_size != 0) {
     return Status::InvalidArgument(

@@ -102,6 +102,25 @@ struct ModelDelta {
   Status Validate() const;
 };
 
+/// Header dimensions of the artifact a delta is applied to (an owned
+/// ModelArtifact or a mapped v3 image).
+struct DeltaBaseDims {
+  uint64_t generation = 0;
+  int32_t num_communities = 0;
+  int32_t num_topics = 0;
+  int32_t num_time_bins = 1;
+  uint64_t num_users = 0;
+  uint64_t vocab_size = 0;
+};
+
+/// The one rule for a base under `delta`: FailedPrecondition unless
+/// base.generation == delta.base_generation; InvalidArgument unless |C|
+/// and |Z| are equal, the base's T is not larger than the delta's (the
+/// popularity matrix ships whole, so a later time bin may appear but none
+/// may vanish) and the base's |U|/|W| are the delta's base dims.
+/// ApplyModelDelta and ProfileIndex::FromMappedWithDelta both call it.
+Status CheckDeltaBase(const DeltaBaseDims& base, const ModelDelta& delta);
+
 /// Serializes the delta (deterministic: same delta -> same bytes).
 StatusOr<std::string> EncodeModelDelta(const ModelDelta& delta);
 
@@ -114,7 +133,7 @@ StatusOr<ModelDelta> ReadModelDelta(const std::string& path);
 
 /// Diffs `target` against `base`: touched = every pi row that changed
 /// bitwise, plus all rows of users new in `target`. Fails when the two
-/// artifacts are not one lineage (mismatched C/Z/T, shrinking users or
+/// artifacts are not one lineage (mismatched C/Z, shrinking T, users or
 /// vocabulary, diverging base words, or target.generation <=
 /// base.generation would still encode — generations are caller-owned and
 /// only equality is checked at apply time).
@@ -126,15 +145,15 @@ StatusOr<ModelDelta> BuildModelDelta(const ModelArtifact& base,
 /// wins on overlap), the globals/frequencies come from `second` alone, and
 /// the appended word lists concatenate. FailedPrecondition unless
 /// second.base_generation == first.generation; InvalidArgument when the
-/// chained dims disagree. Lets the registry apply an arbitrary .cpdd chain
+/// chained dims disagree (C/Z differ, T shrinks, or second's base |U|/|W|
+/// are not first's result). Lets the registry apply an arbitrary .cpdd chain
 /// against the one mapped base artifact it keeps open.
 StatusOr<ModelDelta> ComposeModelDeltas(const ModelDelta& first,
                                         const ModelDelta& second);
 
 /// Applies `delta` to `base`, producing the full result artifact
-/// (generation = delta.generation). FailedPrecondition when
-/// base.generation != delta.base_generation; InvalidArgument when the
-/// dims disagree.
+/// (generation = delta.generation). Fails as CheckDeltaBase does, and
+/// with InvalidArgument when the delta carries a vocabulary the base lacks.
 StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
                                         const ModelDelta& delta);
 

@@ -145,22 +145,24 @@ void ModelState::RebuildCounts(const SocialGraph& graph) {
   std::fill(n_zw.begin(), n_zw.end(), 0);
   std::fill(n_z.begin(), n_z.end(), 0);
   for (size_t d = 0; d < num_documents; ++d) {
-    const Document& doc = graph.document(static_cast<DocId>(d));
-    const int32_t z = doc_topic[d];
-    const int32_t c = doc_community[d];
-    CPD_DCHECK(z >= 0 && z < num_topics);
-    CPD_DCHECK(c >= 0 && c < num_communities);
-    ++n_uc[static_cast<size_t>(doc.user) * static_cast<size_t>(num_communities) +
-           static_cast<size_t>(c)];
-    ++n_u[static_cast<size_t>(doc.user)];
-    ++n_cz[static_cast<size_t>(c) * static_cast<size_t>(num_topics) +
-           static_cast<size_t>(z)];
-    ++n_c[static_cast<size_t>(c)];
-    for (WordId w : doc.words) {
-      ++n_zw[static_cast<size_t>(z) * vocab_size + static_cast<size_t>(w)];
-    }
-    n_z[static_cast<size_t>(z)] += static_cast<int64_t>(doc.words.size());
+    AddDocumentCounts(graph.document(static_cast<DocId>(d)), doc_community[d],
+                      doc_topic[d]);
   }
+}
+
+void ModelState::AddDocumentCounts(const Document& doc, int32_t c, int32_t z) {
+  CPD_DCHECK(z >= 0 && z < num_topics);
+  CPD_DCHECK(c >= 0 && c < num_communities);
+  ++n_uc[static_cast<size_t>(doc.user) * static_cast<size_t>(num_communities) +
+         static_cast<size_t>(c)];
+  ++n_u[static_cast<size_t>(doc.user)];
+  ++n_cz[static_cast<size_t>(c) * static_cast<size_t>(num_topics) +
+         static_cast<size_t>(z)];
+  ++n_c[static_cast<size_t>(c)];
+  for (WordId w : doc.words) {
+    ++n_zw[static_cast<size_t>(z) * vocab_size + static_cast<size_t>(w)];
+  }
+  n_z[static_cast<size_t>(z)] += static_cast<int64_t>(doc.words.size());
 }
 
 double ModelState::MembershipDot(UserId u, UserId v) const {

@@ -76,6 +76,11 @@ struct ModelState {
   /// merging).
   void RebuildCounts(const SocialGraph& graph);
 
+  /// Adds one document's contribution (assigned community c, topic z) to
+  /// every counter — the replay step of RebuildCounts and of a warm start.
+  /// A bulk write: it bypasses the n_uc row cache, so callers invalidate.
+  void AddDocumentCounts(const Document& doc, int32_t c, int32_t z);
+
   // ----- sizes -----
   int num_communities = 0;
   int num_topics = 0;
@@ -95,9 +100,8 @@ struct ModelState {
   DocWordView doc_words;
 
   /// Appends the nonzero entries of user u's community row n_uc[u][.] to
-  /// *out* (cleared first). A plain row scan: the point is to hand the
-  /// sparse sampler the k_u << |C| support of the prior proposal without any
-  /// log/exp work, not to beat O(|C|) memory traffic.
+  /// *out* (cleared first). A plain row scan; tests check the cached
+  /// UserCommunityRow, which the sparse sampler reads, against it.
   void NonzeroUserCommunities(UserId u, std::vector<SparseCount>* out) const;
 
   /// Cached variant of NonzeroUserCommunities: the row is scanned once and
@@ -106,13 +110,13 @@ struct ModelState {
   /// valid until the next BumpUserCommunity/invalidation for this user; the
   /// entry order is scan order plus appended re-entries (any order is a
   /// correct categorical support, and the order is deterministic). Not
-  /// thread-safe: only single-threaded (shard-local) sweeps may use it —
-  /// concurrent relaxed-atomic sweeps must stay on the scan variant.
+  /// thread-safe: a row belongs to the one sampler sweeping this state (every
+  /// sweep is shard-local and single-threaded).
   std::span<const SparseCount> UserCommunityRow(UserId u);
 
   /// Write-through n_uc update: adjusts the counter and, if user u's cached
   /// row is live, patches it in place (erasing emptied entries, appending
-  /// new ones). Every non-concurrent n_uc mutation must go through here;
+  /// new ones). Every sampler n_uc mutation must go through here;
   /// bulk writers (RebuildCounts, snapshot restore, delta apply) instead
   /// invalidate the affected rows.
   void BumpUserCommunity(UserId u, int32_t c, int32_t delta);

@@ -36,10 +36,10 @@
 #include <string_view>
 #include <vector>
 
+#include "core/gibbs_sampler.h"
 #include "core/model_config.h"
 #include "core/state_snapshot.h"
 #include "graph/social_graph.h"
-#include "parallel/shard_executor.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/wire_format.h"

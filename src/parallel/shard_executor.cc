@@ -59,10 +59,8 @@ void ShardRunner::Run(size_t slot_index, std::span<const UserId> users,
     snapshot.RestoreParametersTo(&slot.working);
     slot.params_version = snapshot.parameters_version();
   }
-  slot.sampler.set_freeze_communities(flags.freeze_communities);
-  slot.sampler.set_community_uses_content(flags.community_uses_content);
-  slot.sampler.set_community_uses_diffusion(flags.community_uses_diffusion);
-  slot.sampler.SweepUsers(users, /*concurrent=*/false, rng);
+  slot.sampler.set_flags(flags);
+  slot.sampler.SweepUsers(users, rng);
   for (UserId u : users) {
     for (DocId d : graph_.DocumentsOf(u)) {
       const size_t di = static_cast<size_t>(d);

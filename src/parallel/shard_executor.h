@@ -38,15 +38,6 @@ namespace cpd {
 
 class ThreadPool;
 
-/// Kernel switches mirrored from the master sampler into every shard
-/// sampler before a sweep (the "no joint modeling" two-phase schedule flips
-/// them between EM iterations).
-struct KernelFlags {
-  bool freeze_communities = false;
-  bool community_uses_content = true;
-  bool community_uses_diffusion = true;
-};
-
 /// The one implementation of a shard's sweep and of the per-shard state
 /// around it. A slot is one reusable working set; a shard fully restores it
 /// from the snapshot first, so slot identity never affects results.
@@ -134,9 +125,9 @@ class ShardExecutor {
   int num_shards() const { return static_cast<int>(runner_.num_shards()); }
 
   /// Phase 1 of a sweep: every shard restores its private working state
-  /// from `snapshot`, sweeps its users with the plain (non-atomic) kernels,
-  /// and emits the sparse diff of its moves. `deltas` is resized to
-  /// num_shards(); the master state is never touched.
+  /// from `snapshot`, sweeps its users and emits the sparse diff of its
+  /// moves. `deltas` is resized to num_shards(); the master state is never
+  /// touched.
   virtual Status SampleShards(const StateSnapshot& snapshot,
                               const KernelFlags& flags,
                               std::vector<CounterDelta>* deltas) = 0;
@@ -150,8 +141,7 @@ class ShardExecutor {
   void ResetTimings() { runner_.ResetTimings(); }
 
   /// Sum and clear the shards' collapse-memo and MH acceptance counters
-  /// (the trainer folds the MH ones into the master sampler so
-  /// sparse-backend health stays observable via GibbsSampler::mh_stats()).
+  /// (the trainer adds them to TrainStats after every E-step).
   CollapseCacheStats ConsumeCollapseCacheStats() {
     return runner_.ConsumeCollapseCacheStats();
   }

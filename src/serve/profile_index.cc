@@ -134,29 +134,10 @@ StatusOr<ProfileIndex> ProfileIndex::FromMappedWithDelta(
     return Status::InvalidArgument("membership_top_k < 1");
   }
   CPD_RETURN_IF_ERROR(delta->Validate());
-  if (mapped->generation() != delta->base_generation) {
-    return Status::FailedPrecondition(StrFormat(
-        "model delta: patches generation %llu but the mapped artifact is "
-        "generation %llu",
-        static_cast<unsigned long long>(delta->base_generation),
-        static_cast<unsigned long long>(mapped->generation())));
-  }
-  if (mapped->num_communities() != delta->num_communities ||
-      mapped->num_topics() != delta->num_topics ||
-      mapped->num_time_bins() != delta->num_time_bins) {
-    return Status::InvalidArgument(
-        "model delta: base artifact disagrees on |C|/|Z|/T");
-  }
-  if (mapped->num_users() != delta->base_num_users ||
-      mapped->vocab_size() != delta->base_vocab_size) {
-    return Status::InvalidArgument(StrFormat(
-        "model delta: expects a base with |U|=%llu |W|=%llu, got |U|=%llu "
-        "|W|=%llu",
-        static_cast<unsigned long long>(delta->base_num_users),
-        static_cast<unsigned long long>(delta->base_vocab_size),
-        static_cast<unsigned long long>(mapped->num_users()),
-        static_cast<unsigned long long>(mapped->vocab_size())));
-  }
+  CPD_RETURN_IF_ERROR(CheckDeltaBase(
+      {mapped->generation(), mapped->num_communities(), mapped->num_topics(),
+       mapped->num_time_bins(), mapped->num_users(), mapped->vocab_size()},
+      *delta));
   ProfileIndex index;
   index.options_ = options;
   index.num_communities_ = delta->num_communities;

@@ -86,8 +86,8 @@ class ProfileIndex {
   /// Copy-on-write overlay of a .cpdd delta over a base image: the delta's
   /// touched pi rows and its full refreshed globals are served out of the
   /// delta (the index holds a reference on it), every untouched pi row
-  /// keeps pointing into the shared image. FailedPrecondition when
-  /// mapped->generation() != delta->base_generation.
+  /// keeps pointing into the shared image. Refuses a base that does not fit
+  /// the delta exactly as CheckDeltaBase (model_delta.h) does.
   static StatusOr<ProfileIndex> FromMappedWithDelta(
       std::shared_ptr<const MappedModelArtifact> mapped,
       std::shared_ptr<const ModelDelta> delta,

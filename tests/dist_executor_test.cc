@@ -47,8 +47,8 @@ CpdConfig BaseConfig() {
 void ExpectSameShardStats(EmTrainer& a, EmTrainer& b) {
   EXPECT_EQ(a.stats().eta_collapse_hits, b.stats().eta_collapse_hits);
   EXPECT_EQ(a.stats().eta_collapse_misses, b.stats().eta_collapse_misses);
-  const MhStats mh_a = a.sampler()->mh_stats();
-  const MhStats mh_b = b.sampler()->mh_stats();
+  const MhStats& mh_a = a.stats().mh;
+  const MhStats& mh_b = b.stats().mh;
   EXPECT_EQ(mh_a.topic_proposals, mh_b.topic_proposals);
   EXPECT_EQ(mh_a.topic_accepts, mh_b.topic_accepts);
   EXPECT_EQ(mh_a.community_proposals, mh_b.community_proposals);

@@ -46,13 +46,9 @@ struct Harness {
   Rng rng;
 };
 
-// Counter invariants must survive full sweeps (the sampler's remove/add
-// bookkeeping is exact).
-TEST(GibbsSamplerTest, CountsRemainConsistentAfterSweeps) {
-  Harness h;
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    h.sampler.SweepDocuments(&h.rng);
-  }
+// Every counter equals a from-scratch rebuild from the assignments (the
+// sampler's remove/add bookkeeping is exact).
+void ExpectCountsMatchRebuild(const Harness& h) {
   ModelState fresh(h.result.graph, h.config);
   fresh.doc_topic = h.state.doc_topic;
   fresh.doc_community = h.state.doc_community;
@@ -63,6 +59,31 @@ TEST(GibbsSamplerTest, CountsRemainConsistentAfterSweeps) {
   EXPECT_EQ(fresh.n_z, h.state.n_z);
   EXPECT_EQ(fresh.n_c, h.state.n_c);
   EXPECT_EQ(fresh.n_u, h.state.n_u);
+}
+
+// A shard's sweep: SweepUsers over a subset of the users, reading tables
+// built outside the sampler, as ShardRunner drives it. Counters must stay
+// exact across repeated subset sweeps.
+void ExpectSubsetSweepsKeepCountsConsistent(Harness& h) {
+  SparseSamplerTables tables;
+  tables.Rebuild(h.state);
+  h.sampler.UseExternalSparseTables(&tables);
+  std::vector<UserId> odd_users;
+  for (size_t u = 1; u < h.result.graph.num_users(); u += 2) {
+    odd_users.push_back(static_cast<UserId>(u));
+  }
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    h.sampler.SweepUsers(odd_users, &h.rng);
+  }
+  ExpectCountsMatchRebuild(h);
+}
+
+TEST(GibbsSamplerTest, CountsRemainConsistentAfterSweeps) {
+  Harness h;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    h.sampler.SweepDocuments(&h.rng);
+  }
+  ExpectCountsMatchRebuild(h);
 }
 
 TEST(GibbsSamplerTest, AssignmentsStayInRange) {
@@ -104,7 +125,7 @@ TEST(GibbsSamplerTest, EnergiesAreFinite) {
 
 TEST(GibbsSamplerTest, FreezeCommunitiesHoldsAssignments) {
   Harness h;
-  h.sampler.set_freeze_communities(true);
+  h.sampler.set_flags({.freeze_communities = true});
   const std::vector<int32_t> before = h.state.doc_community;
   h.sampler.SweepDocuments(&h.rng);
   EXPECT_EQ(h.state.doc_community, before);
@@ -137,7 +158,7 @@ TEST(GibbsSamplerTest, SweepUsersTouchesOnlyGivenUsers) {
   // be re-sampled only via their own docs).
   std::vector<int32_t> before_topics = h.state.doc_topic;
   const std::vector<UserId> users = {0};
-  h.sampler.SweepUsers(users, /*concurrent=*/false, &h.rng);
+  h.sampler.SweepUsers(users, &h.rng);
   for (size_t d = 0; d < h.state.num_documents; ++d) {
     if (h.result.graph.document(static_cast<DocId>(d)).user != 0) {
       EXPECT_EQ(h.state.doc_topic[d], before_topics[d]) << "doc " << d;
@@ -145,19 +166,9 @@ TEST(GibbsSamplerTest, SweepUsersTouchesOnlyGivenUsers) {
   }
 }
 
-TEST(GibbsSamplerTest, ConcurrentSweepKeepsCountsConsistent) {
+TEST(GibbsSamplerTest, SubsetSweepsKeepCountsConsistent) {
   Harness h;
-  std::vector<UserId> all_users(h.result.graph.num_users());
-  for (size_t u = 0; u < all_users.size(); ++u) {
-    all_users[u] = static_cast<UserId>(u);
-  }
-  h.sampler.SweepUsers(all_users, /*concurrent=*/true, &h.rng);
-  ModelState fresh(h.result.graph, h.config);
-  fresh.doc_topic = h.state.doc_topic;
-  fresh.doc_community = h.state.doc_community;
-  fresh.RebuildCounts(h.result.graph);
-  EXPECT_EQ(fresh.n_cz, h.state.n_cz);
-  EXPECT_EQ(fresh.n_zw, h.state.n_zw);
+  ExpectSubsetSweepsKeepCountsConsistent(h);
 }
 
 // ---------- sparse (alias + Metropolis-Hastings) backend ----------
@@ -175,16 +186,7 @@ TEST(SparseGibbsTest, CountsRemainConsistentAfterSweeps) {
   for (int sweep = 0; sweep < 3; ++sweep) {
     h.sampler.SweepDocuments(&h.rng);
   }
-  ModelState fresh(h.result.graph, h.config);
-  fresh.doc_topic = h.state.doc_topic;
-  fresh.doc_community = h.state.doc_community;
-  fresh.RebuildCounts(h.result.graph);
-  EXPECT_EQ(fresh.n_uc, h.state.n_uc);
-  EXPECT_EQ(fresh.n_cz, h.state.n_cz);
-  EXPECT_EQ(fresh.n_zw, h.state.n_zw);
-  EXPECT_EQ(fresh.n_z, h.state.n_z);
-  EXPECT_EQ(fresh.n_c, h.state.n_c);
-  EXPECT_EQ(fresh.n_u, h.state.n_u);
+  ExpectCountsMatchRebuild(h);
 }
 
 TEST(SparseGibbsTest, AssignmentsStayInRange) {
@@ -200,26 +202,15 @@ TEST(SparseGibbsTest, AssignmentsStayInRange) {
 
 TEST(SparseGibbsTest, FreezeCommunitiesHoldsAssignments) {
   Harness h(9, SparseConfig());
-  h.sampler.set_freeze_communities(true);
+  h.sampler.set_flags({.freeze_communities = true});
   const std::vector<int32_t> before = h.state.doc_community;
   h.sampler.SweepDocuments(&h.rng);
   EXPECT_EQ(h.state.doc_community, before);
 }
 
-TEST(SparseGibbsTest, ConcurrentSweepKeepsCountsConsistent) {
+TEST(SparseGibbsTest, SubsetSweepsKeepCountsConsistent) {
   Harness h(10, SparseConfig());
-  h.sampler.RebuildSparseTables();  // Concurrent callers rebuild up front.
-  std::vector<UserId> all_users(h.result.graph.num_users());
-  for (size_t u = 0; u < all_users.size(); ++u) {
-    all_users[u] = static_cast<UserId>(u);
-  }
-  h.sampler.SweepUsers(all_users, /*concurrent=*/true, &h.rng);
-  ModelState fresh(h.result.graph, h.config);
-  fresh.doc_topic = h.state.doc_topic;
-  fresh.doc_community = h.state.doc_community;
-  fresh.RebuildCounts(h.result.graph);
-  EXPECT_EQ(fresh.n_cz, h.state.n_cz);
-  EXPECT_EQ(fresh.n_zw, h.state.n_zw);
+  ExpectSubsetSweepsKeepCountsConsistent(h);
 }
 
 // Acceptance-rate sanity: with per-sweep table rebuilds the stale proposals

@@ -16,11 +16,13 @@
 
 #include "core/cpd_model.h"
 #include "core/em_trainer.h"
+#include "core/model_delta.h"
 #include "eval/metrics.h"
 #include "ingest/ingest_pipeline.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
 #include "test_util.h"
+#include "util/file_util.h"
 #include "util/json.h"
 
 namespace cpd {
@@ -499,6 +501,93 @@ TEST(IngestPipeline, SequentialIngestsProduceLoadableGrowingArtifacts) {
   EXPECT_EQ((*pipeline)->sequence(), 2u);
 
   for (const std::string& path : artifacts) std::filesystem::remove(path);
+}
+
+// A batch whose diffusions use a later time bin grows T. The popularity
+// matrix ships whole in every .cpdd, so the delta carries the new bin:
+// applied to the previous generation it reproduces the written .cpdb bit for
+// bit, and a copy-on-write overlay serves the new bin's popularity.
+TEST(IngestPipeline, DeltaCarriesALaterTimeBin) {
+  const SynthResult data = testing::MakeTinyGraph(257);
+  CpdConfig config = TinyConfig(61);
+  auto base_model = CpdModel::Train(data.graph, config);
+  ASSERT_TRUE(base_model.ok());
+  auto graph_alias = std::shared_ptr<const SocialGraph>(
+      &data.graph, [](const SocialGraph*) {});
+  IngestOptions options;
+  options.config = config;
+  options.warm_iterations = 1;
+  options.artifact_base = ::testing::TempDir() + "/ingest_later_bin";
+  options.write_delta = true;
+  auto pipeline = IngestPipeline::Create(graph_alias, *base_model, options);
+  ASSERT_TRUE(pipeline.ok());
+
+  // Generation 1 stays inside the base's bins; generation 2's documents
+  // and diffusions use the bin after the last one.
+  const int32_t base_bins = data.graph.num_time_bins();
+  auto first = (*pipeline)->Ingest(TinyBatch(*(*pipeline)->graph(), 29));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Rng rng(31);
+  SampleUpdateOptions later;
+  later.new_users = 3;
+  later.diffusions = 3;
+  later.time = base_bins;
+  auto second = (*pipeline)->Ingest(
+      SampleUpdateBatch(*(*pipeline)->graph(), later, &rng));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_FALSE(second->delta_path.empty());
+  ASSERT_EQ((*pipeline)->graph()->num_time_bins(), base_bins + 1);
+
+  auto base = ReadModelArtifact(first->artifact_path);
+  auto delta = ReadModelDelta(second->delta_path);
+  auto written = ReadFileToString(second->artifact_path);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(base->num_time_bins, base_bins);
+  EXPECT_EQ(delta->num_time_bins, base_bins + 1);
+  auto applied = ApplyModelDelta(*base, *delta);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  auto encoded = EncodeModelArtifact(*applied, options.artifact);
+  ASSERT_TRUE(encoded.ok());
+  EXPECT_TRUE(*encoded == *written) << "applied delta != written .cpdb";
+
+  auto mapped = MappedModelArtifact::Open(first->artifact_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto overlay = serve::ProfileIndex::FromMappedWithDelta(
+      *mapped, std::make_shared<const ModelDelta>(*delta));
+  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+  auto full = serve::ProfileIndex::LoadFromFile(second->artifact_path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(overlay->num_time_bins(), base_bins + 1);
+  double new_bin_mass = 0.0;
+  for (int z = 0; z < config.num_topics; ++z) {
+    EXPECT_EQ(overlay->TopicPopularity(base_bins, z),
+              full->TopicPopularity(base_bins, z))
+        << "topic " << z;
+    new_bin_mass += overlay->TopicPopularity(base_bins, z);
+  }
+  EXPECT_GT(new_bin_mass, 0.0);
+
+  // T never shrinks: a delta back to the old T does not patch the new
+  // generation.
+  ModelDelta shrinking = *delta;
+  shrinking.base_generation = applied->generation;
+  shrinking.generation = applied->generation + 1;
+  shrinking.base_num_users = applied->num_users;
+  shrinking.base_vocab_size = applied->vocab_size;
+  shrinking.appended_words.clear();
+  shrinking.num_time_bins = base_bins;
+  shrinking.popularity.resize(
+      static_cast<size_t>(base_bins) * static_cast<size_t>(config.num_topics));
+  ASSERT_TRUE(shrinking.Validate().ok());
+  EXPECT_EQ(ApplyModelDelta(*applied, shrinking).status().code(),
+            StatusCode::kInvalidArgument);
+
+  for (const auto* result : {&*first, &*second}) {
+    std::filesystem::remove(result->artifact_path);
+    std::filesystem::remove(result->delta_path);
+  }
 }
 
 TEST(IngestPipeline, CreateRejectsMismatchedModelGraphOrConfig) {

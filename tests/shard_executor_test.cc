@@ -195,8 +195,8 @@ void ExpectSerialPooledIdentical(int num_shards, SamplerMode mode) {
   EXPECT_EQ(serial.stats().eta_collapse_hits, pooled.stats().eta_collapse_hits);
   EXPECT_EQ(serial.stats().eta_collapse_misses,
             pooled.stats().eta_collapse_misses);
-  const MhStats serial_mh = serial.sampler()->mh_stats();
-  const MhStats pooled_mh = pooled.sampler()->mh_stats();
+  const MhStats& serial_mh = serial.stats().mh;
+  const MhStats& pooled_mh = pooled.stats().mh;
   EXPECT_EQ(serial_mh.topic_proposals, pooled_mh.topic_proposals);
   EXPECT_EQ(serial_mh.topic_accepts, pooled_mh.topic_accepts);
   EXPECT_EQ(serial_mh.community_proposals, pooled_mh.community_proposals);
@@ -286,20 +286,29 @@ TEST(ShardExecutorTest, CollapseCacheCountsHitsAndPreservesQuality) {
   EXPECT_LT(std::fabs(cached_ll - uncached_ll) / std::fabs(uncached_ll), 0.2);
 }
 
-// MH acceptance counters accumulate inside the private shard samplers; the
-// trainer must fold them into the master sampler so sparse-backend health
-// stays observable through the usual mh_stats() handle.
-TEST(ShardExecutorTest, MasterSamplerReportsShardMhStats) {
+// MH counters accumulate inside the private shard samplers and the trainer
+// sums them into TrainStats::mh after every E-step: on a joint sparse run
+// every document makes mh_steps topic and mh_steps community proposals per
+// sweep, whatever the shard count.
+TEST(ShardExecutorTest, TrainStatsCountEveryShardMhProposal) {
   const SynthResult data = testing::MakeTinyGraph(48);
-  CpdConfig config = BaseConfig();
-  config.sampler_mode = SamplerMode::kSparse;
-  config.num_threads = 2;
-  EmTrainer trainer(data.graph, config);
-  ASSERT_TRUE(trainer.Train().ok());
-  const MhStats stats = trainer.sampler()->mh_stats();
-  EXPECT_GT(stats.topic_proposals, 0);
-  EXPECT_GT(stats.community_proposals, 0);
-  EXPECT_GT(stats.TopicAcceptRate(), 0.0);
+  for (const int shards : {1, 2, 4}) {
+    CpdConfig config = BaseConfig();
+    config.sampler_mode = SamplerMode::kSparse;
+    config.executor_mode = ExecutorMode::kPooled;
+    config.num_threads = 4;
+    config.num_shards = shards;
+    EmTrainer trainer(data.graph, config);
+    ASSERT_TRUE(trainer.Train().ok());
+    const int64_t expected = int64_t{config.em_iterations} *
+                             config.gibbs_sweeps_per_em *
+                             static_cast<int64_t>(data.graph.num_documents()) *
+                             config.mh_steps;
+    const MhStats& stats = trainer.stats().mh;
+    EXPECT_EQ(stats.topic_proposals, expected) << shards << " shards";
+    EXPECT_EQ(stats.community_proposals, expected) << shards << " shards";
+    EXPECT_GT(stats.TopicAcceptRate(), 0.0) << shards << " shards";
+  }
 }
 
 TEST(ShardExecutorTest, TrivialPlanCoversAllUsersInOrder) {
